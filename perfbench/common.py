@@ -26,9 +26,9 @@ F = 4  # faults per query in the connectivity workloads
 #: draw; pairs, fault sets and messages come from the run's --seed.
 GRAPH_SEED, SCHEME_SEED = 1, 2
 BUILDS = 3  # construct + save repeats per run; build.total_s is their median
-SETUPS = 21  # cold starts per run; setup_s is their median
 
 _PAGE = os.sysconf("SC_PAGE_SIZE")
+_TICK = os.sysconf("SC_CLK_TCK")
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +47,18 @@ def mean(values) -> float:
     return float(np.mean(values)) if len(values) else 0.0
 
 
+def report_latency(out, lat_ms) -> None:
+    """Latency percentiles of raw per-request (or per-batch) samples."""
+    p = {q: percentile(lat_ms, q) for q in (50, 90, 99)}
+    for q, value in p.items():
+        out.set(f"latency.p{q}_ms", value)
+    out.set("latency.samples", len(lat_ms))
+    out.notes.append(
+        f"latency p50 {p[50]:.3f} p90 {p[90]:.3f} p99 {p[99]:.3f} ms "
+        f"over {len(lat_ms)} samples"
+    )
+
+
 class Yardstick:
     """Machine speed, from a fixed kernel that never calls the program.
 
@@ -54,10 +66,13 @@ class Yardstick:
     than the bounds a regression gate needs.  The kernel mimics the
     program's mix (small-object churn in the interpreter plus many
     small numpy calls) and is timed between the segments of a measured
-    window; a run's end-to-end times and rates are reported scaled to
-    :data:`REF_S`, its median time on the reference machine (2 vCPU VM
-    at 2.1 GHz), so host drift largely cancels while a change to the
-    program does not.
+    window; a run's ``setup_s`` and ``throughput_per_s`` are reported
+    scaled to :data:`REF_S`, its median time on the reference machine
+    (2 vCPU VM at 2.1 GHz), so host drift largely cancels while a change
+    to the program does not.  In four sets of ten seeds, scaling
+    narrowed route-onpath's rate spread (IQR over median) from 0.14-0.32
+    to 0.07-0.15 in every set, and the socket workloads' in three sets
+    of four.
     """
 
     REF_S = 0.0150
@@ -131,6 +146,16 @@ def peak_mb() -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1e3
     return rss_mb()
+
+
+def cpu_seconds(pids) -> float:
+    """User plus system CPU time of ``pids`` (all their threads)."""
+    total = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total / _TICK
 
 
 def pss_mb(pids) -> float:
@@ -293,6 +318,39 @@ class ExactConnectivity:
         self.size = np.asarray(sl, dtype=np.int64)
         self.pred = pred
         self.eu, self.ev = eu, ev
+        keys = self._keys(eu, ev)
+        self.edge_order = np.argsort(keys, kind="stable")
+        self.edge_keys = keys[self.edge_order]
+
+    def _keys(self, a, b) -> np.ndarray:
+        """One key per unordered vertex pair."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return np.minimum(a, b) * self.graph.n + np.maximum(a, b)
+
+    def walk_edges(self, walk) -> np.ndarray:
+        """Edge index of every step of ``walk`` (the first of parallel
+        copies); raises when a step is not an edge of G."""
+        w = np.asarray(walk, dtype=np.int64)
+        steps = self._keys(w[:-1], w[1:])
+        pos = np.minimum(np.searchsorted(self.edge_keys, steps), self.edge_keys.size - 1)
+        if not np.array_equal(self.edge_keys[pos], steps):
+            raise AssertionError("walk steps over a non-edge")
+        return self.edge_order[pos]
+
+    def walk_ok(self, walk, faults) -> bool:
+        """Whether every step of ``walk`` crosses an edge of ``G \\ F``
+        (a step between parallel edges needs one surviving copy)."""
+        w = np.asarray(walk, dtype=np.int64)
+        if w.size < 2:
+            return True
+        steps = self._keys(w[:-1], w[1:])
+        copies = np.searchsorted(self.edge_keys, steps, "right") - np.searchsorted(
+            self.edge_keys, steps, "left"
+        )
+        fl = sorted(set(faults))
+        fkeys = np.sort(self._keys(self.eu[fl], self.ev[fl]))
+        cut = np.searchsorted(fkeys, steps, "right") - np.searchsorted(fkeys, steps, "left")
+        return bool(np.all(copies > cut))
 
     def _pieces(self, faults):
         """(piece id per preorder slot, union-find root per piece)."""
@@ -376,8 +434,6 @@ class Outcome:
         self.checked = 0
         self.fingerprint: dict = {}
         self.yard = Yardstick()
-        #: end-to-end metrics not to scale by machine speed
-        self.unscaled: set = set()
         self.notes: list[str] = []
 
     def set(self, name: str, value: float) -> None:

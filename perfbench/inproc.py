@@ -21,7 +21,6 @@ import numpy as np
 
 from common import (
     SCHEME_SEED,
-    SETUPS,
     WORK,
     ExactConnectivity,
     Outcome,
@@ -31,12 +30,13 @@ from common import (
     mean,
     median,
     pairs_of,
-    percentile,
+    report_latency,
     anon_rss_mb,
 )
 
 WARMUP_S = 1.0
 TICK_EVERY_S = 0.5
+COLD_STARTS = 21  # per run; setup_s is their median
 
 ROUTE_N, ROUTE_SMOKE_N, ROUTE_F, ROUTE_K, ROUTE_BATCH = 256, 96, 2, 2, 4
 ROUTE_MESSAGES = 10_000
@@ -71,12 +71,15 @@ BYPASSED = (
 )
 
 
-def _window(inputs, call, seconds: float, trace: bool, on_traced, yard):
+def _window(inputs, call, seconds: float, trace: bool, on_traced, check, yard):
     """Warm-up, then call batches for ``seconds``.
 
-    Returns ``(records, plain_secs, traced_secs)`` where a record is
-    ``(input index, call seconds, answers)``.  In a traced run every
-    other batch is traced: timed through a PhaseTimer and handed to
+    Returns ``(records, plain_secs, traced_secs, calls)`` where a record
+    is ``(input index, call seconds, answers in the batch)`` and
+    ``calls`` counts the calls made, warm-up included.  Every answer is
+    handed to ``check`` after its call is timed and then dropped, so
+    the window keeps no answers alive.  In a traced run every other
+    batch is traced: timed through a PhaseTimer and handed to
     ``on_traced``, whose counting is part of its ``traced_secs``.
     Every ``TICK_EVERY_S`` the yardstick kernel runs between calls.
     """
@@ -106,22 +109,25 @@ def _window(inputs, call, seconds: float, trace: bool, on_traced, yard):
                     answers = call(*inputs[i])
                 on_traced(i, answers)
                 traced.append(time.perf_counter() - t0)
-                records.append((i, timer.seconds["call"], answers))
-                timer.seconds.clear()
+                dt = timer.seconds.pop("call")
             else:
                 t0 = time.perf_counter()
                 answers = call(*inputs[i])
                 dt = time.perf_counter() - t0
                 plain.append(dt)
-                records.append((i, dt, answers))
+            # checking is untimed; the deadline moves past it
+            t0 = time.perf_counter()
+            check(i, answers)
+            t_end += time.perf_counter() - t0
+            records.append((i, dt, len(answers)))
             k += 1
     finally:
         gc.enable()
-    return records, plain, traced
+    return records, plain, traced, k
 
 
 def _cold_starts(out: Outcome, snap: str, first):
-    """``SETUPS`` cold starts: load_snapshot, then ``first(artifact)``.
+    """``COLD_STARTS`` cold starts: load_snapshot, then ``first(artifact)``.
 
     Returns the last artifact and its first answer.  Reports setup_s,
     store.load_s, store.load_peak_mb and the first call's time.
@@ -130,7 +136,7 @@ def _cold_starts(out: Outcome, snap: str, first):
 
     setup, load, first_s, peaks = [], [], [], []
     artifact = answer = None
-    for _ in range(SETUPS):
+    for _ in range(COLD_STARTS):
         artifact = answer = None
         gc.collect()
         phases = PhasePeaks()
@@ -149,29 +155,12 @@ def _cold_starts(out: Outcome, snap: str, first):
     return artifact, answer, median(first_s)
 
 
-def _latency(out: Outcome, records, items_per_record) -> None:
-    secs = [dt for _, dt, _ in records]
-    lat = [dt * 1e3 for dt in secs]
-    out.set("latency_p50_ms", percentile(lat, 50))
-    out.set("latency_p90_ms", percentile(lat, 90))
-    out.set("latency.p99_ms", percentile(lat, 99))
-    out.set("throughput_per_s", sum(items_per_record(r) for r in records) / sum(secs))
-    out.notes.append(f"latency samples {len(lat)}")
-
-
 # ----------------------------------------------------------------------
 # route-onpath
 # ----------------------------------------------------------------------
-def _route_edges(graph, trace: list) -> list:
+def _route_edges(oracle: ExactConnectivity, trace: list) -> list:
     """Distinct edge indices along a routed walk."""
-    edges = []
-    for u, v in zip(trace, trace[1:]):
-        e = graph.edge_index_between(u, v)
-        if e is None:
-            raise AssertionError(f"route steps over a non-edge ({u}, {v})")
-        if e not in edges:
-            edges.append(e)
-    return edges
+    return list(dict.fromkeys(oracle.walk_edges(trace).tolist()))
 
 
 def run_route(seed: int, seconds: float, trace: bool, smoke: bool, out: Outcome):
@@ -218,70 +207,19 @@ def run_route(seed: int, seconds: float, trace: bool, smoke: bool, out: Outcome)
         reqs = pairs_of(rng, n, messages)
         per = []
         for res in router.route_many(reqs, []):
-            edges = _route_edges(graph, res.trace)
+            edges = _route_edges(oracle, res.trace)
             if len(edges) >= ROUTE_F:
                 per.append(rng.choice(edges, size=ROUTE_F, replace=False).tolist())
             else:
                 extra = [e for e in rng.permutation(graph.m)[: ROUTE_F + 1].tolist()
                          if e not in edges]
                 per.append((edges + extra)[:ROUTE_F])
+        del res
         inputs = [
             (reqs[lo : lo + ROUTE_BATCH], per[lo : lo + ROUTE_BATCH])
             for lo in range(0, messages, ROUTE_BATCH)
         ]
         fixed = router.route_many(probe, [per[i] for i in range(len(probe))])
-        engine = router.packed_engine()
-        before = engine.cache_stats()
-        counts = {"hops": 0, "rev": 0, "calls": 0, "msgs": 0}
-
-        def on_traced(i, results):
-            for r in results:
-                counts["hops"] += r.telemetry.hops
-                counts["rev"] += r.telemetry.reversal_hops
-                counts["calls"] += r.telemetry.decode_calls
-                counts["msgs"] += 1
-
-        records, plain, traced = _window(
-            inputs, lambda p, f: router.route_many(p, f), seconds, trace, on_traced, out.yard
-        )
-        after = engine.cache_stats()
-        out.set("serve_rss_mb", anon_rss_mb() - baseline)
-        undelivered = 0
-        for i, _, results in records:
-            pairs, faults = inputs[i]
-            for (s, t), fs, r in zip(pairs, faults, results):
-                out.attempted += 1
-                out.checked += 1
-                if r.delivered:
-                    walk = _route_edges(graph, r.trace)
-                    if r.trace[-1] != t or set(fs) & set(walk):
-                        out.wrong += 1
-                else:
-                    undelivered += 1
-                    out.wrong += int(oracle.connected([(s, t)], fs)[0])
-        out.notes.append(f"undelivered (disconnected) messages {undelivered}")
-        if len(records) > len(inputs):
-            out.notes.append("message stream wrapped around")
-        _latency(out, records, lambda r: len(r[2]))
-        if trace:
-            dist = DistanceOracle(graph)
-            ratios = []
-            for i, _, results in records:
-                for (s, t), fs, r in zip(*inputs[i], results):
-                    if r.delivered and s != t and len(ratios) < STRETCH_SAMPLES:
-                        ratios.append(r.length / dist.distance(s, t, fs))
-            hits = after["hits"] - before["hits"]
-            misses = after["misses"] - before["misses"]
-            sent = sum(len(r[2]) for r in records)
-            out.set("route.us_per_message", sum(r[1] for r in records) / sent * 1e6)
-            out.set("route.hops_per_message", counts["hops"] / counts["msgs"])
-            out.set("route.reversal_share", counts["rev"] / max(1, counts["hops"]))
-            out.set("route.decode_calls_per_message", counts["calls"] / counts["msgs"])
-            out.set("route.retry_cache_hit_rate", hits / max(1, hits + misses))
-            out.set("route.retry_cache_evictions", after["evictions"] - before["evictions"])
-            out.set("route.stretch_mean", mean(ratios))
-            out.set("obs.trace_overhead", mean(traced) / mean(plain) - 1.0)
-            out.set("latency.samples", len(records))
         out.fingerprint = {
             "vertex_label_bits": out.values["vertex_label_bits"],
             "edge_label_bits": out.values["edge_label_bits"],
@@ -290,6 +228,66 @@ def run_route(seed: int, seconds: float, trace: bool, smoke: bool, out: Outcome)
             "probe_reversal_hops": sum(r.telemetry.reversal_hops for r in fixed),
             "probe_decode_calls": sum(r.telemetry.decode_calls for r in fixed),
         }
+        del fixed
+        engine = router.packed_engine()
+        before = engine.cache_stats()
+        counts = {"hops": 0, "rev": 0, "calls": 0, "msgs": 0, "undelivered": 0}
+        stretch = []  # (s, t, faults, length) of the first delivered messages
+
+        def on_traced(i, results):
+            for r in results:
+                counts["hops"] += r.telemetry.hops
+                counts["rev"] += r.telemetry.reversal_hops
+                counts["calls"] += r.telemetry.decode_calls
+                counts["msgs"] += 1
+
+        def check(i, results):
+            for (s, t), fs, r in zip(*inputs[i], results):
+                out.attempted += 1
+                out.checked += 1
+                if r.delivered:
+                    if r.trace[0] != s or r.trace[-1] != t or not oracle.walk_ok(r.trace, fs):
+                        out.wrong += 1
+                    elif trace and s != t and len(stretch) < STRETCH_SAMPLES:
+                        stretch.append((s, t, fs, r.length))
+                else:
+                    counts["undelivered"] += 1
+                    out.wrong += int(oracle.connected([(s, t)], fs)[0])
+
+        records, plain, traced, calls = _window(
+            inputs, lambda p, f: router.route_many(p, f), seconds, trace, on_traced, check,
+            out.yard,
+        )
+        after = engine.cache_stats()
+        out.notes.append(f"undelivered (disconnected) messages {counts['undelivered']}")
+        if len(records) > len(inputs):
+            out.notes.append("message stream wrapped around")
+        secs = [dt for _, dt, _ in records]
+        sent = sum(size for _, _, size in records)
+        report_latency(out, [dt * 1e3 for dt in secs])
+        out.set("throughput_per_s", sent / sum(secs))
+        if trace:
+            dist = DistanceOracle(graph)
+            ratios = [length / dist.distance(s, t, fs) for s, t, fs, length in stretch]
+            hits = after["hits"] - before["hits"]
+            misses = after["misses"] - before["misses"]
+            out.set("route.us_per_message", sum(secs) / sent * 1e6)
+            out.set("route.hops_per_message", counts["hops"] / counts["msgs"])
+            out.set("route.reversal_share", counts["rev"] / max(1, counts["hops"]))
+            out.set("route.decode_calls_per_message", counts["calls"] / counts["msgs"])
+            out.set("route.retry_cache_hit_rate", hits / max(1, hits + misses))
+            out.set("route.retry_cache_evictions", after["evictions"] - before["evictions"])
+            out.set("route.stretch_mean", mean(ratios))
+            out.set("obs.trace_overhead", mean(traced) / mean(plain) - 1.0)
+        # Route the rest of the stream, untimed: the retry caches grow
+        # with each fresh fault set, so they are read after every
+        # message has been routed, however many the window reached.
+        for i in range(min(calls, len(inputs)), len(inputs)):
+            router.route_many(*inputs[i])
+        # The router, its packed engine and their caches are all that
+        # stays live past the baseline.
+        del records, inputs, reqs, per, secs
+        out.set("serve_rss_mb", anon_rss_mb() - baseline)
         del router, engine
     finally:
         gc.collect()

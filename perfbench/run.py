@@ -28,10 +28,10 @@ sys.path.insert(1, os.path.join(HERE, "..", "src"))
 
 from common import ROOT, WORK, Outcome  # noqa: E402
 
-#: end-to-end times and rates, scaled by the run's machine slowdown
+#: the end-to-end time and rate scaled by the run's machine slowdown
 #: (sampled between the segments of the measured window; host drift is
 #: slow next to one run, see :class:`common.Yardstick`)
-_SCALED = ("setup_s", "throughput_per_s", "latency_p50_ms", "latency_p90_ms")
+_SCALED = ("setup_s", "throughput_per_s")
 
 
 def _declared():
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     raw = {}
     slowdown = yard.slowdown()
     for name in _SCALED:
-        if name in out.values and name not in out.unscaled:
+        if name in out.values:
             raw[name] = out.values[name]
             out.values[name] *= slowdown if e2e[name] == "1/s" else 1.0 / slowdown
     metrics = out.metrics()

@@ -34,12 +34,13 @@ from common import (
     PhasePeaks,
     build,
     make_graph,
+    cpu_seconds,
     mean,
     median,
     pairs_of,
-    percentile,
     pss_mb,
     random_fault_set,
+    report_latency,
 )
 
 SERVER_MAIN = str(Path(__file__).resolve().parent / "server_main.py")
@@ -49,7 +50,7 @@ CONNS = 2  # no more connections than the two cores the shapes assume
 WARMUP_S = 2.0
 PING_EVERY_S = 0.05
 SEGMENT_S = 0.5
-SETUPS = 3  # server cold starts per run; setup_s is their median
+SERVER_STARTS = 5  # per run; setup_s is their median
 REPLAY_SAMPLES = 1000
 
 #: name -> (n, pairs per request, fault-set pool, requests per second).
@@ -213,21 +214,24 @@ def _cold_start(snapshot, traced, probe, expected) -> tuple[float, ServerProcess
     return elapsed, server
 
 
-async def _load(port, stream, seconds, rate, traced, want_path, yard):
+async def _load(server, stream, seconds, rate, traced, want_path, yard):
     """Warm-up, then the measured window in segments of ``SEGMENT_S``.
 
     Between segments nothing is in flight and the yardstick kernel runs,
     so machine speed is sampled inside the window without timing it.
-    Returns (samples, pings, lateness, busy seconds, STATS before,
-    STATS after); the STATS pair only when traced.
+    Returns (samples, pings, lateness, busy seconds, server CPU seconds,
+    STATS before, STATS after); the STATS pair only when traced.
     """
     from repro.server import AsyncQueryClient
 
-    clients = [await AsyncQueryClient.connect("127.0.0.1", port) for _ in range(CONNS)]
+    clients = [
+        await AsyncQueryClient.connect("127.0.0.1", server.port) for _ in range(CONNS)
+    ]
     try:
         await _drive(clients, stream, WARMUP_S, rate, False, want_path)
         before = await clients[0].stats() if traced else None
         samples, pings, late, busy = [], [], 0.0, 0.0
+        cpu0 = cpu_seconds(server.pids)
         gc.collect()
         gc.disable()
         try:
@@ -242,19 +246,29 @@ async def _load(port, stream, seconds, rate, traced, want_path, yard):
                 busy += seg[3]
         finally:
             gc.enable()
+        cpu = cpu_seconds(server.pids) - cpu0
         after = await clients[0].stats() if traced else None
     finally:
         for client in clients:
             await client.aclose()
-    return samples, pings, late, busy, before, after
+    return samples, pings, late, busy, cpu, before, after
 
 
-def _window(server, stream, seconds, rate, traced, want_path, yard):
-    return asyncio.run(_load(server.port, stream, seconds, rate, traced, want_path, yard))
+def _path_ok(oracle: ExactConnectivity, scheme, s: int, t: int, path, faults) -> bool:
+    """Whether a succinct path expands to an s-t walk in ``G \\ F``."""
+    if path is None or (path.s, path.t) != (s, t):
+        return False
+    try:
+        walk = path.expand(oracle.graph, scheme.trees[int(scheme.comp_of[s])])
+    except ValueError:
+        return False
+    return oracle.walk_ok(walk, faults)
 
 
-def _check(out: Outcome, oracle: ExactConnectivity, stream: Stream, samples) -> None:
-    """Every verdict against the exact oracle, grouped by fault set."""
+def _check(out: Outcome, oracle: ExactConnectivity, stream: Stream, samples, scheme) -> None:
+    """Every verdict against the exact oracle, grouped by fault set; with
+    a ``scheme`` (requests asked for paths) every connected answer's
+    path is expanded through its spanning tree and walked over G."""
     groups: dict[int, list] = {}
     for sample in samples:
         out.attempted += 1
@@ -263,11 +277,16 @@ def _check(out: Outcome, oracle: ExactConnectivity, stream: Stream, samples) -> 
             continue
         groups.setdefault(stream.fidx[sample.i], []).append(sample)
     for fi, group in groups.items():
+        faults = stream.pool[fi]
         pairs = [p for s in group for p in stream.pairs[s.i]]
-        got = [a.connected for s in group for a in s.answers]
-        truth = oracle.connected(pairs, stream.pool[fi])
-        out.checked += len(got)
-        out.wrong += int(np.count_nonzero(np.asarray(got) != truth))
+        answers = [a for s in group for a in s.answers]
+        truth = oracle.connected(pairs, faults).tolist()
+        out.checked += len(answers)
+        for (s, t), a, ok in zip(pairs, answers, truth):
+            if a.connected != ok or (
+                scheme is not None and ok and not _path_ok(oracle, scheme, s, t, a.path, faults)
+            ):
+                out.wrong += 1
 
 
 def _delta(before, after, kind: str, name: str):
@@ -355,6 +374,9 @@ def _layers(out, stream, samples, pings, late, before, after, want_path, seconds
     if not client_ms:
         raise RuntimeError("no server spans joined to client requests")
     ms = {k: mean(v) * 1e3 for k, v in rows.items()}
+    # Partition time from the STATS plane, not from a per-request span:
+    # the server records a ``partition`` span only for requests that
+    # bypass the coalescer, and coalesced singles share one chunk.
     chunks, worker_s = _delta(before, after, "histograms", "shard.worker_seconds")
     partition_ms = worker_s / max(1, chunks) * 1e3
     hits = _delta(before, after, "counters", "cache.hits")
@@ -413,7 +435,6 @@ def run(name: str, seed: int, seconds: float, trace: bool, smoke: bool, out: Out
     if smoke:
         n = SMOKE_N
     want_path = batch > 1
-    out.unscaled.add("throughput_per_s")  # the offered rate, not a speed
     rng = np.random.default_rng(seed)
     WORK.mkdir(exist_ok=True)
     snap = str(WORK / f"{name}-{os.getpid()}.snap")
@@ -449,7 +470,7 @@ def run(name: str, seed: int, seconds: float, trace: bool, smoke: bool, out: Out
         if not trace:
             starts = []
             server = None
-            for _ in range(SETUPS):
+            for _ in range(SERVER_STARTS):
                 if server is not None:
                     server.close()
                 elapsed, server = _cold_start(snap, False, probe, expected)
@@ -457,37 +478,38 @@ def run(name: str, seed: int, seconds: float, trace: bool, smoke: bool, out: Out
             out.set("setup_s", median(starts))
             try:
                 _probe_all(server, stream, local, want_path)
-                samples, _, late, busy, _, _ = _window(
-                    server, stream, seconds, rate, False, want_path, out.yard
+                samples, _, late, _, cpu, _, _ = asyncio.run(
+                    _load(server, stream, seconds, rate, False, want_path, out.yard)
                 )
                 out.set("serve_rss_mb", pss_mb(server.pids))
             finally:
                 server.close()
-            _check(out, oracle, stream, samples)
-            _latency(out, samples, busy)
+            _check(out, oracle, stream, samples, local if want_path else None)
+            _window_rows(out, samples, cpu)
             out.notes.append(f"loadgen late max {late * 1e3:.2f} ms")
         else:
             _, server = _cold_start(snap, False, probe, expected)
             try:
-                plain = _window(server, stream, seconds, rate, False, want_path, out.yard)[0]
+                plain = asyncio.run(
+                    _load(server, stream, seconds, rate, False, want_path, out.yard)
+                )[0]
             finally:
                 server.close()
             _, server = _cold_start(snap, True, probe, expected)
             try:
                 _probe_all(server, stream, local, want_path)
-                samples, pings, late, busy, before, after = _window(
-                    server, stream, seconds, rate, True, want_path, out.yard
+                samples, pings, late, busy, cpu, before, after = asyncio.run(
+                    _load(server, stream, seconds, rate, True, want_path, out.yard)
                 )
             finally:
                 server.close()
-            _check(out, oracle, stream, plain)
-            _check(out, oracle, stream, samples)
+            _check(out, oracle, stream, plain, local if want_path else None)
+            _check(out, oracle, stream, samples, local if want_path else None)
             _layers(out, stream, samples, pings, late, before, after, want_path, busy)
             _decode_counts(out, stream, samples, tree_mask)
             lat = lambda ss: mean([x.done - x.sent for x in ss if x.error is None])
             out.set("obs.trace_overhead", lat(samples) / lat(plain) - 1.0)
-            _latency(out, samples, busy)
-            out.set("latency.samples", len(samples))
+            _window_rows(out, samples, cpu)
         out.fingerprint = {
             "vertex_label_bits": out.values["vertex_label_bits"],
             "edge_label_bits": out.values["edge_label_bits"],
@@ -527,12 +549,10 @@ def _probe_all(server, stream, local, want_path) -> None:
                 raise AssertionError("socket answers differ from in-process query_many")
 
 
-def _latency(out: Outcome, samples, busy: float) -> None:
+def _window_rows(out: Outcome, samples, cpu: float) -> None:
     ok = [s for s in samples if s.error is None]
     # From the due time, so a stall charges every request it delays.
-    lat = [(s.done - s.due) * 1e3 for s in ok]
-    out.set("latency_p50_ms", percentile(lat, 50))
-    out.set("latency_p90_ms", percentile(lat, 90))
-    out.set("latency.p99_ms", percentile(lat, 99))
-    out.set("throughput_per_s", sum(len(s.answers) for s in ok) / busy)
-    out.notes.append(f"latency samples {len(lat)}")
+    report_latency(out, [(s.done - s.due) * 1e3 for s in ok])
+    # The open loop fixes the offered rate; what the program controls is
+    # how much server CPU (front door plus shard workers) each pair costs.
+    out.set("throughput_per_s", sum(len(s.answers) for s in ok) / cpu)
