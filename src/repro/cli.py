@@ -584,7 +584,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         depths = ", ".join(str(d) for d in stats.queue_depth) or "-"
         print(f"  shards ({service.get('mode', '?')}): "
               f"queue depth [{depths}], "
-              f"{service.get('pool_restarts', 0)} pool restarts, "
+              f"{service.get('pool_restarts', 0)} worker restarts, "
               f"cache hit rate {stats.cache_hit_rate:.0%}")
         for i, cache in enumerate(service.get("per_shard_cache") or []):
             print(f"    shard {i:<2d}           : "

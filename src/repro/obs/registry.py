@@ -1,6 +1,6 @@
 """Process-local, thread-safe metrics registry (the observability spine).
 
-Every serving-tier process — the asyncio front door, each shard pool
+Every serving-tier process — the asyncio front door, each shard
 worker, each :class:`~repro._util.build_pool.BuildPool` worker — owns
 one :class:`MetricsRegistry` holding three instrument kinds:
 

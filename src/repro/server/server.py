@@ -9,8 +9,9 @@ service speaking the :mod:`repro.server.protocol` frames:
   workers that mmap one :mod:`repro.store` snapshot when the server is
   snapshot-backed, fork/local otherwise) through the non-blocking
   :meth:`~repro.serving.shards.ShardedQueryService.start_chunk` path —
-  worker completions are bridged back onto the event loop, so the loop
-  never blocks on a worker;
+  the event loop owns every shard pipe (it writes chunks without
+  blocking and reads replies as they arrive), so no thread sits between
+  the loop and a worker and the loop never blocks on one;
 * **coalescing** — single-pair requests from any number of connections
   are funneled through per-generation
   :class:`~repro.serving.coalescer.AsyncQueryCoalescer` instances (one
@@ -21,8 +22,9 @@ service speaking the :mod:`repro.server.protocol` frames:
   pushes back on the client), and every request is bounded by
   ``deadline_s``: a lost shard worker surfaces as one ``ERROR`` frame
   (:data:`~repro.server.protocol.ErrorCode.SHARD_LOST`) for exactly
-  the in-flight requests, never a hang — the first timeout replaces
-  the shard's whole pool with a fresh one
+  the in-flight requests, never a hang — a worker that dies is seen at
+  once (EOF on its pipe) and respawned, one that hangs is killed and
+  respawned at the chunk timeout
   (:meth:`~repro.serving.shards.ShardedQueryService.restart_shard`;
   ``tests/test_server_chaos.py``);
 * **zero-downtime reload** — :meth:`LabelServer.reload` (admin
@@ -30,7 +32,7 @@ service speaking the :mod:`repro.server.protocol` frames:
   *generation* from the snapshot path in a background thread, swaps it
   in atomically (every request started after the swap is answered by
   the new labels), drains the old generation's in-flight requests, and
-  only then closes its shard pools and releases its mmap
+  only then stops its shard workers and releases its mmap
   (``tests/test_server_e2e.py`` asserts zero failed requests and the
   old mapping gone).
 
@@ -45,7 +47,6 @@ import asyncio
 import contextlib
 import gc
 import json
-import multiprocessing
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +57,7 @@ from typing import Optional
 from repro.core.sketch_scheme import SkDecodeResult
 from repro.obs import MetricsRegistry, SlowQueryLog, Trace
 from repro.serving.coalescer import AsyncQueryCoalescer
-from repro.serving.shards import ShardedQueryService
+from repro.serving.shards import ShardedQueryService, ShardLostError
 from repro.server.protocol import (
     ErrorCode,
     Frame,
@@ -85,10 +86,6 @@ _KIND_QUERY = {
 
 class BadQueryError(ValueError):
     """A well-formed frame asking something invalid (ids out of range)."""
-
-
-class ShardLostError(RuntimeError):
-    """A shard worker failed to answer within the deadline."""
 
 
 def _kind_of(obj) -> str:
@@ -139,18 +136,19 @@ class ServerStats:
 
 
 class _Generation:
-    """One immutable serving backend: labels + shard pools + coalescers.
+    """One immutable serving backend: labels + shard workers + coalescers.
 
     Reload is blue/green over generations: requests acquire the
     current generation for their whole lifetime; a retired generation
     is closed only after its refcount drains to zero, so in-flight
     answers always come from the labels they started on and the old
-    snapshot's mmap is released only when nobody can touch it.
+    snapshot's mmap is released only when nobody can touch it.  The
+    server numbers a generation only once it is built (see
+    :meth:`LabelServer._activate`), so a failed reload burns no version.
     """
 
     def __init__(
         self,
-        version: int,
         kind: str,
         path: Optional[str],
         service: Optional[ShardedQueryService],
@@ -158,7 +156,7 @@ class _Generation:
         n: Optional[int],
         m: Optional[int],
     ):
-        self.version = version
+        self.version = 0
         self.kind = kind
         self.path = path
         self.service = service
@@ -191,7 +189,7 @@ class _Generation:
         await self._drained.wait()
 
     async def aclose(self) -> None:
-        """Flush coalescers, close shard pools, drop every label ref."""
+        """Flush coalescers, stop shard workers, drop every label ref."""
         for coalescer in self.coalescers.values():
             await coalescer.aclose()
         self.coalescers.clear()
@@ -212,7 +210,7 @@ class LabelServer:
     ``snapshot`` (a :mod:`repro.store` file) must be given.  Snapshot
     mode is the production shape: ``num_shards`` spawn workers mmap
     the file (one page-cache copy) and hot reload is available;
-    backend mode serves the object in-process (fork pools when
+    backend mode serves the object in-process (fork workers when
     ``num_shards > 0``) and is what the equivalence tests use.
 
     Lifecycle: ``await start()``, then :meth:`serve_forever` (or just
@@ -295,14 +293,12 @@ class LabelServer:
     # ------------------------------------------------------------------
     def _build_generation(self, path: Optional[str]) -> _Generation:
         """Construct a serving generation (runs in a worker thread)."""
-        self._versions += 1
-        version = self._versions
         if path is None:
             obj = self._backend
             kind = _kind_of(obj)
             n, m = obj.graph.n, obj.graph.m
             if _KIND_QUERY[kind] is FrameType.ROUTE:
-                return _Generation(version, kind, None, None, obj, n, m)
+                return _Generation(kind, None, None, obj, n, m)
             service = ShardedQueryService(
                 obj,
                 num_shards=self.num_shards,
@@ -313,7 +309,7 @@ class LabelServer:
                 chunk_timeout=self.chunk_timeout,
                 metrics=self.metrics_enabled,
             )
-            return _Generation(version, kind, None, service, None, n, m)
+            return _Generation(kind, None, service, None, n, m)
         from repro.store import load_snapshot, snapshot_info
 
         info = snapshot_info(path)
@@ -323,7 +319,7 @@ class LabelServer:
         n, m = _graph_dims(info["meta"])
         if _KIND_QUERY[kind] is FrameType.ROUTE:
             router = load_snapshot(path)
-            return _Generation(version, kind, path, None, router, n, m)
+            return _Generation(kind, path, None, router, n, m)
         service = ShardedQueryService.from_snapshot(
             path,
             num_shards=self.num_shards,
@@ -334,7 +330,16 @@ class LabelServer:
             chunk_timeout=self.chunk_timeout,
             metrics=self.metrics_enabled,
         )
-        return _Generation(version, kind, path, service, None, n, m)
+        return _Generation(kind, path, service, None, n, m)
+
+    def _activate(self, gen: _Generation) -> _Generation:
+        """Number a built generation and hand its shard pipes to the
+        running loop (on the loop thread, before it serves anything)."""
+        self._versions += 1
+        gen.version = self._versions
+        if gen.service is not None:
+            gen.service.bind_loop(asyncio.get_running_loop())
+        return gen
 
     @property
     def generation(self) -> _Generation:
@@ -362,9 +367,11 @@ class LabelServer:
         """Bind the listening socket and build the first generation."""
         loop = asyncio.get_running_loop()
         self._reload_lock = asyncio.Lock()
-        self._gen = await loop.run_in_executor(
-            self._reload_executor,
-            partial(self._build_generation, self._snapshot_path),
+        self._gen = self._activate(
+            await loop.run_in_executor(
+                self._reload_executor,
+                partial(self._build_generation, self._snapshot_path),
+            )
         )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -426,8 +433,10 @@ class LabelServer:
             )
         loop = asyncio.get_running_loop()
         async with self._reload_lock:
-            new = await loop.run_in_executor(
-                self._reload_executor, partial(self._build_generation, path)
+            new = self._activate(
+                await loop.run_in_executor(
+                    self._reload_executor, partial(self._build_generation, path)
+                )
             )
             old = self._gen
             self._gen = new  # the swap: atomic on the loop thread
@@ -465,7 +474,7 @@ class LabelServer:
         happens where the request is still individual.
         """
         service = gen.service
-        if service._pools is None:
+        if service.mode == "local":
             # Local mode: numpy work on the (single) blocking thread.
             t0 = time.perf_counter()
             answers = await asyncio.get_running_loop().run_in_executor(
@@ -475,31 +484,17 @@ class LabelServer:
             if trace is not None:
                 trace.add_span("shard", t0, time.perf_counter() - t0)
             return answers
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-
-        def _ok(answers, meta, _loop=loop, _future=future):
-            _loop.call_soon_threadsafe(
-                self._settle_future, _future, (answers, meta), None
-            )
-
-        def _err(exc, _loop=loop, _future=future):
-            _loop.call_soon_threadsafe(self._settle_future, _future, None, exc)
-
         t0 = time.perf_counter()
-        shard = service.start_chunk(
-            pairs, faults, kw, callback=_ok, error_callback=_err
-        )
+        shard, future = service.start_chunk(pairs, faults, kw)
         epoch = service.shard_epoch(shard)
         try:
+            # A worker that dies fails the future with ShardLostError
+            # the moment its EOF is read; only a hung one runs out the
+            # clock, and then it is killed and respawned.
             answers, meta = await asyncio.wait_for(
                 future, timeout=self.chunk_timeout
             )
         except asyncio.TimeoutError:
-            # Presume the worker dead and heal deterministically: the
-            # first timeout of this pool generation replaces the whole
-            # pool (a worker killed while idle wedges its task queue
-            # for good — Pool's own respawn cannot recover that).
             service.restart_shard(shard, epoch=epoch)
             raise ShardLostError(
                 f"shard {shard} did not answer within {self.chunk_timeout}s"
@@ -514,15 +509,6 @@ class LabelServer:
                 )
             trace.meta.setdefault("shards", []).append(shard)
         return answers
-
-    @staticmethod
-    def _settle_future(future: asyncio.Future, answers, exc) -> None:
-        if future.done():
-            return
-        if exc is None:
-            future.set_result(answers)
-        else:
-            future.set_exception(exc)
 
     def _coalescer_for(self, gen: _Generation, kw: dict) -> AsyncQueryCoalescer:
         key = tuple(sorted(kw.items()))
@@ -677,16 +663,12 @@ class LabelServer:
         }
         service_wire = None
         if gen.service is not None:
-            # ``stats_bundle()`` round-trips every pool worker once —
-            # blocking, so off the loop (and bounded by the caller's
-            # deadline) — returning both the legacy counters and the
-            # uniform registry dump (queue depth, per-shard cache
-            # hit rates, exact-merged worker histograms).
-            service_stats, service_wire = (
-                await asyncio.get_running_loop().run_in_executor(
-                    self._blocking, gen.service.stats_bundle
-                )
-            )
+            # One round trip to every shard worker through the loop's
+            # own pipes (bounded by the caller's deadline), returning
+            # both the legacy counters and the uniform registry dump
+            # (queue depth, per-shard cache hit rates, exact-merged
+            # worker histograms).
+            service_stats, service_wire = await gen.service.astats_bundle()
             payload["service"] = service_stats.snapshot()
         coalesced = {}
         for key, coalescer in gen.coalescers.items():
@@ -926,11 +908,6 @@ def run_server(
         asyncio.run(_main())
     except KeyboardInterrupt:
         pass
-
-
-#: kept importable for the multiprocessing timeout that start_chunk's
-#: callers may need to distinguish.
-MPTimeoutError = multiprocessing.TimeoutError
 
 __all__ = [
     "BadQueryError",

@@ -1,18 +1,28 @@
-"""Process-pool sharded query service over immutable packed stores.
+"""Sharded query service: one worker process per shard over immutable
+packed stores.
 
 Once constructed, a scheme's packed label store never mutates — the
 whole query side is read-only — so serving can fan out across worker
 processes without locks or copies.  :class:`ShardedQueryService`:
 
 * forces the packed store to materialize in the parent, then **forks**
-  one single-process pool per shard: the store transfers to every
-  worker once, for free, via copy-on-write; alternatively, given a
+  one worker process per shard: the store transfers to every worker
+  once, for free, via copy-on-write; alternatively, given a
   :mod:`repro.store` ``snapshot`` path, workers **open the snapshot
   themselves** (read-only mmap — one shared page-cache copy), which
   makes every start method viable, ``spawn`` included (see
   :meth:`ShardedQueryService.from_snapshot`).  Without fork and
   without a snapshot (and with ``num_shards=0``) it degrades to
   in-process shard caches — same answers, no processes;
+* talks to each worker over **its own duplex pipe** and nothing else:
+  a chunk goes parent → pipe → worker → pipe → parent, with no helper
+  thread and no shared queue.  Blocking callers (:meth:`query_many`,
+  :meth:`stats`) read the pipes in their own thread; once
+  :meth:`bind_loop` hands them to an asyncio loop, the loop reads them
+  (``loop.add_reader``) and :meth:`start_chunk` resolves futures on it.
+  A worker that dies shows up as EOF on its pipe: the chunks in flight
+  on that shard fail with :class:`ShardLostError` at once and the
+  worker is respawned;
 * routes every coalesced chunk by the **hash of its canonical fault
   set**, so all queries about one failure state land on the same
   worker and hit that worker's
@@ -38,15 +48,17 @@ asserted by ``tests/test_serving.py``).
 
 from __future__ import annotations
 
-import contextlib
-import itertools
+import asyncio
 import multiprocessing
 import os
-import signal
-import threading
+import pickle
+import socket
+import struct
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import partial
+from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core._batch import normalize_faults
@@ -59,16 +71,13 @@ from repro.serving.partition_cache import (
     group_by_canonical_key,
 )
 
-#: Fork-time handoff: each live service parks its scheme here under a
-#: unique token for its whole lifetime (not just during Pool creation),
-#: so workers the pool respawns after a crash can still re-initialize
-#: from the parent's (copy-on-write-inherited) view of this module.
-_WORKER: dict = {}
-_SERVICE_TOKENS = itertools.count()
-
 #: Timeout (s) for any single chunk result; a worker that takes longer
 #: is considered lost and the error propagates to the caller.
 _CHUNK_TIMEOUT = 600.0
+
+#: :meth:`ShardedQueryService.close` gives workers this long (s) to exit
+#: after SIGTERM before it SIGKILLs them, and as long again to be reaped.
+_STOP_GRACE_S = 2.0
 
 #: Hot-key traffic counters are pruned to half this size when they
 #: exceed it (coldest keys dropped), so a churning stream of distinct
@@ -77,35 +86,11 @@ _CHUNK_TIMEOUT = 600.0
 _HOT_TRACK_LIMIT = 4096
 
 
-def _worker_init(token: int, cache_capacity: int, metrics: bool = True) -> None:
-    """Pool initializer (runs in the forked child)."""
-    _WORKER["cache"] = PartitionCache(
-        _WORKER[token],
-        capacity=cache_capacity,
-        obs=MetricsRegistry(enabled=metrics),
-    )
+class ShardLostError(RuntimeError):
+    """A shard worker died or stopped answering with a message in flight."""
 
 
-def _worker_init_snapshot(
-    path: str, cache_capacity: int, metrics: bool = True
-) -> None:
-    """Pool initializer for snapshot-backed workers (spawn-safe).
-
-    Runs in a fresh interpreter with no inherited state: the worker
-    opens the snapshot itself (read-only mmap, so every worker on the
-    host shares one page-cache copy of the packed stores) instead of
-    receiving the scheme by fork copy-on-write.
-    """
-    from repro.store import load_snapshot
-
-    _WORKER["cache"] = PartitionCache(
-        load_snapshot(path),
-        capacity=cache_capacity,
-        obs=MetricsRegistry(enabled=metrics),
-    )
-
-
-def _worker_query(pairs, faults, kw):
+def _serve_chunk(cache: PartitionCache, pairs, faults, kw):
     """Serve one chunk off the worker's partition cache.
 
     Returns ``(answers, meta)`` — ``meta`` carries the worker-side
@@ -114,21 +99,20 @@ def _worker_query(pairs, faults, kw):
     answers themselves stay bit-identical to a direct ``query_many``).
     """
     t0 = time.perf_counter()
-    answers = _WORKER["cache"].query_many(pairs, faults, **kw)
+    answers = cache.query_many(pairs, faults, **kw)
     return answers, {
         "worker_s": time.perf_counter() - t0,
         "pid": os.getpid(),
     }
 
 
-def _worker_cache_stats():
-    """Cache counters + the worker's metrics registry (wire dump).
+def _cache_stats(cache: PartitionCache) -> tuple:
+    """Cache counters + the cache's metrics registry (wire dump).
 
     The registry dump rides along so the parent can aggregate worker
     histograms (partition decode seconds) exactly — the fixed bucket
     family makes the cross-process merge lossless.
     """
-    cache = _WORKER["cache"]
     stats = cache.stats
     obs_wire = cache.obs.to_wire() if cache.obs is not None else None
     return stats.hits, stats.misses, stats.evictions, len(cache), obs_wire
@@ -143,62 +127,107 @@ def shard_of(key: FaultKey, num_shards: int) -> int:
     return hash(key) % num_shards
 
 
-#: how long :func:`_reap_pool` lets ``Pool.terminate()`` run before it
-#: escalates to SIGKILLing the workers directly.
-_REAP_GRACE_S = 3.0
+#: what a worker does with each message ``(op, args)`` it reads.
+_OPS = {"chunk": _serve_chunk, "stats": _cache_stats}
 
 
-def _pool_worker_pids(pool) -> list[int]:
-    try:
-        return [proc.pid for proc in pool._pool]
-    except Exception:  # pragma: no cover - pool mid-teardown
-        return []
+def _worker_main(conn, source, cache_capacity: int, metrics: bool) -> None:
+    """Body of one shard worker: answer ``conn``'s messages in order.
 
-
-def _reap_pool(pool, grace: float = _REAP_GRACE_S) -> bool:
-    """Tear down a (possibly lock-poisoned) pool, never blocking forever.
-
-    ``Pool.terminate()`` can deadlock after a worker died by SIGKILL:
-    an idle worker waits in ``inqueue.get()`` *holding* the task
-    queue's reader semaphore (a plain POSIX semaphore — dying does not
-    release it), and CPython's ``_help_stuff_finish`` acquires exactly
-    that lock.  So terminate runs on a sacrificial daemon thread; if
-    it has not finished within ``grace`` seconds the worker processes
-    are SIGKILLed directly and the stuck thread is abandoned.  That is
-    safe to abandon: the pool's helper threads are daemonic, and
-    ``util.Finalize.__call__`` unregisters itself *before* running, so
-    a stuck terminate is never re-entered at interpreter exit.
-
-    Returns ``True`` when the pool shut down cleanly within the grace
-    periods, ``False`` when it had to be abandoned.
+    ``source`` is the scheme itself (fork: inherited copy-on-write) or
+    the path of a snapshot the worker opens read-only (spawn: every
+    worker on the host shares one page-cache copy of the packed
+    stores).  Each message ``(op, args)`` gets one reply ``(ok,
+    payload)`` — the result, or the exception it raised.  A worker whose
+    source fails to open stays up and answers every message with that
+    error, so a bad snapshot cannot become a respawn loop.  Returns at
+    EOF (the parent closed its end or died).
     """
-    pids = _pool_worker_pids(pool)
-    done = threading.Event()
+    try:
+        if isinstance(source, str):
+            from repro.store import load_snapshot
 
-    def _terminate():
+            source = load_snapshot(source)
+        cache = PartitionCache(
+            source, capacity=cache_capacity, obs=MetricsRegistry(enabled=metrics)
+        )
+        broken = None
+    except Exception as exc:
+        cache, broken = None, exc
+    while True:
         try:
-            pool.terminate()
-            pool.join()
-        except Exception:  # pragma: no cover - pool already broken
-            pass
-        finally:
-            done.set()
+            op, args = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            if broken is not None:
+                raise broken
+            reply = (True, _OPS[op](cache, *args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception as exc:  # the reply does not pickle
+            conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
-    thread = threading.Thread(target=_terminate, name="pool-reaper", daemon=True)
-    thread.start()
-    if done.wait(grace):
-        return True
-    for pid in pids:
-        with contextlib.suppress(ProcessLookupError, PermissionError):
-            os.kill(pid, signal.SIGKILL)
-    return done.wait(grace)
+
+def _frame(msg) -> bytes:
+    """``msg`` pickled behind the 4-byte big-endian length header that
+    ``multiprocessing.connection.Connection.recv`` reads (messages stay
+    far below that header's 2 GiB limit)."""
+    body = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    return struct.pack("!i", len(body)) + body
 
 
-def _reap_pool_async(pool, grace: float = _REAP_GRACE_S) -> None:
-    """Fire-and-forget :func:`_reap_pool` (for reaps on a live path)."""
-    threading.Thread(
-        target=_reap_pool, args=(pool, grace), name="pool-reaper-bg", daemon=True
-    ).start()
+def _settle(future, ok: bool, payload) -> None:
+    """Reply callback resolving an asyncio future (unless abandoned)."""
+    if future.done():
+        return
+    if ok:
+        future.set_result(payload)
+    else:
+        future.set_exception(payload)
+
+
+def _reap(procs: list, grace: float) -> list:
+    """Join ``procs`` within ``grace`` seconds; return those still running."""
+    deadline = time.monotonic() + grace
+    running = []
+    for proc in procs:
+        proc.join(max(0.0, deadline - time.monotonic()))
+        if proc.exitcode is None:
+            running.append(proc)
+        else:
+            proc.close()
+    return running
+
+
+class _Worker:
+    """One shard's worker process and the parent's end of its pipe."""
+
+    __slots__ = ("shard", "epoch", "proc", "pid", "conn", "sock", "jobs", "wbuf")
+
+    def __init__(self, shard: int, epoch: int, proc, conn):
+        self.shard = shard
+        self.epoch = epoch
+        self.proc = proc
+        # kept apart from ``proc``, which is closed once reaped: other
+        # threads may list pids (worker_pids) while a worker is replaced
+        self.pid = proc.pid
+        self.conn = conn
+        # A second handle on the same socket, for sends that must not
+        # block (MSG_DONTWAIT); the descriptor itself stays in blocking
+        # mode, which ``conn.recv`` needs.
+        self.sock = socket.socket(fileno=os.dup(conn.fileno()))
+        self.sock.setblocking(True)
+        #: reply callbacks ``job(ok, payload)`` of the messages in
+        #: flight, oldest first — the worker answers in order.
+        self.jobs: deque = deque()
+        #: bytes a full socket buffer refused (bound loop only); the
+        #: loop's writer callback flushes them.
+        self.wbuf = bytearray()
 
 
 @dataclass
@@ -218,8 +247,8 @@ class ServiceStats:
     hot_keys: int = 0
     replicated_chunks: int = 0
     deadline_flushes: int = 0
-    pool_restarts: int = 0  # shard pools rebuilt after a lost worker
-    queue_depth: tuple = ()  # chunks in flight per shard, at snapshot time
+    pool_restarts: int = 0  # shard workers respawned after a loss
+    queue_depth: tuple = ()  # messages in flight per shard, at snapshot time
     per_shard_cache: tuple = ()  # one cache-counter dict per shard
 
     @property
@@ -298,8 +327,10 @@ class ShardedQueryService:
     runs in-process with one partition cache per logical shard —
     identical answers, useful as a baseline and on exotic platforms.
 
-    Use as a context manager, or call :meth:`close` — worker pools are
-    real OS processes.
+    One thread drives a service: the calling thread of the blocking
+    API, or the loop passed to :meth:`bind_loop`.  Use as a context
+    manager, or call :meth:`close` — shard workers are real OS
+    processes.
     """
 
     def __init__(
@@ -328,10 +359,10 @@ class ShardedQueryService:
 
         ``chunk_timeout`` (seconds) bounds how long :meth:`query_many`
         waits for any single chunk result; a worker that takes longer
-        (e.g. it was SIGKILLed with the chunk in flight) is considered
-        lost and a ``multiprocessing.TimeoutError`` surfaces to the
-        caller — the pool respawns the worker underneath, so later
-        chunks are unaffected.  The network server runs with a short
+        (e.g. it hangs) is killed and respawned, and a
+        :class:`ShardLostError` surfaces to the caller — later chunks
+        go to the fresh worker.  A worker that *dies* is noticed at
+        once, by EOF on its pipe.  The network server runs with a short
         timeout; the in-process benches keep the 600 s default.
 
         ``snapshot`` names a :mod:`repro.store` snapshot file of the
@@ -348,7 +379,7 @@ class ShardedQueryService:
             raise ValueError("hot_key_share must be in (0, 1] or None")
         if scheme is None and snapshot is None:
             raise ValueError("need a scheme or a snapshot path")
-        self.scheme = scheme  # stays None in snapshot-worker pool mode
+        self.scheme = scheme  # stays None with snapshot-backed workers
         self.snapshot = None if snapshot is None else str(snapshot)
         self.max_chunk = max_chunk
         self.cache_capacity = cache_capacity
@@ -367,11 +398,12 @@ class ShardedQueryService:
         #: worker registries are merged in by :meth:`registry_dump`.
         self.obs = MetricsRegistry(enabled=metrics)
         self.metrics_enabled = metrics
-        self._inflight_lock = threading.Lock()
-        self._inflight: list[int] = []
-        self._pools: Optional[list] = None
+        self._workers: Optional[list[_Worker]] = None
         self._local: Optional[list[PartitionCache]] = None
-        self._token: Optional[int] = None
+        #: the asyncio loop that owns the pipes (see :meth:`bind_loop`)
+        self._loop = None
+        #: replaced workers' processes, SIGKILLed and not yet reaped
+        self._dead: list = []
         ctx = None
         if num_shards > 0:
             try:
@@ -391,17 +423,16 @@ class ShardedQueryService:
         if self.scheme is None and (ctx is None or self._start_method == "fork"):
             # The parent only needs the live scheme when it serves
             # queries itself (local mode) or hands it to workers by
-            # fork; snapshot-backed (spawn) pools leave it unloaded —
-            # workers open the file themselves and the parent scheme
+            # fork; snapshot-backed (spawn) workers leave it unloaded —
+            # they open the file themselves and the parent scheme
             # would never serve a chunk.
             from repro.store import load_snapshot
 
             self.scheme = load_snapshot(self.snapshot)
         elif self.scheme is None:
-            # Snapshot-worker pool mode: fail fast on a missing or
-            # corrupt file *here*, with the real SnapshotError —
-            # otherwise every worker dies in its initializer and the
-            # pool respawns it in a silent loop until the chunk timeout.
+            # Snapshot-backed workers: fail fast on a missing or
+            # corrupt file *here*, with the real SnapshotError, rather
+            # than in every worker at its first chunk.
             from repro.store import read_snapshot
 
             read_snapshot(self.snapshot, verify=False)
@@ -428,32 +459,13 @@ class ShardedQueryService:
             ]
         else:
             self.num_shards = num_shards
-            if self._start_method == "fork":
-                # The token-keyed slot stays populated until close():
-                # pool worker respawns re-run _worker_init in a fresh
-                # fork of the parent and must still find the scheme.
-                self._token = next(_SERVICE_TOKENS)
-                _WORKER[self._token] = self.scheme
-                initializer, initargs = _worker_init, (
-                    self._token,
-                    cache_capacity,
-                    metrics,
-                )
-            else:
-                # Spawn-compatible build/serve split: every worker
-                # opens the snapshot itself; the read-only mmap means
-                # all workers share one page-cache copy of the stores.
-                initializer, initargs = _worker_init_snapshot, (
-                    self.snapshot,
-                    cache_capacity,
-                    metrics,
-                )
-            self._mp_ctx = ctx
-            self._pool_init = (initializer, initargs)
-            self._pools = [self._make_pool() for _ in range(num_shards)]
-            self._pool_epochs = [0] * num_shards
+            self._ctx = ctx
+            # A forked worker inherits the live scheme (respawns too:
+            # the parent keeps it); a spawned one opens the snapshot.
+            source = self.scheme if self._start_method == "fork" else self.snapshot
+            self._worker_args = (source, cache_capacity, metrics)
+            self._workers = [self._spawn(shard, 0) for shard in range(num_shards)]
         self._tally.per_shard = [0] * self.num_shards
-        self._inflight = [0] * self.num_shards
 
     @classmethod
     def from_snapshot(
@@ -464,8 +476,8 @@ class ShardedQueryService:
         Hands each worker the *path*: workers open the same file
         read-only, so N serving processes share one page-cache copy of
         the packed stores.  The parent itself loads the snapshot only
-        if it ends up serving queries (the local fallback) — in pool
-        mode ``self.scheme`` stays ``None``.  Defaults to the spawn
+        if it ends up serving queries (the local fallback) — with
+        workers ``self.scheme`` stays ``None``.  Defaults to the spawn
         context — the configuration fork-less platforms and multi-host
         deployments use.
         """
@@ -479,8 +491,202 @@ class ShardedQueryService:
 
     @property
     def mode(self) -> str:
-        """``"fork"``/``"spawn"``/... (process pools) or ``"local"``."""
-        return self._start_method if self._pools is not None else "local"
+        """``"fork"``/``"spawn"``/... (worker processes) or ``"local"``."""
+        return self._start_method if self._workers is not None else "local"
+
+    # ------------------------------------------------------------------
+    # Worker processes and their pipes
+    # ------------------------------------------------------------------
+    def _spawn(self, shard: int, epoch: int) -> _Worker:
+        parent_end, child_end = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_end, *self._worker_args),
+            name=f"repro-shard-{shard}",
+            daemon=True,
+        )
+        proc.start()
+        # Only the worker may hold the child end: its death must read
+        # as EOF here.
+        child_end.close()
+        worker = _Worker(shard, epoch, proc, parent_end)
+        if self._loop is not None:
+            self._loop.add_reader(parent_end.fileno(), self._read, worker)
+        return worker
+
+    def _unhook(self, w: _Worker) -> None:
+        """Take ``w``'s pipe off the bound loop and close it."""
+        if self._loop is not None:
+            self._loop.remove_reader(w.conn.fileno())
+            if w.wbuf:
+                self._loop.remove_writer(w.sock.fileno())
+        w.sock.close()
+        w.conn.close()
+
+    def _replace(self, w: _Worker, reason: str) -> None:
+        """Swap a lost worker for a fresh one; fail what it had in flight.
+
+        The old process is SIGKILLed (a no-op once it is dead, the cure
+        when it hangs) and reaped later; every message still waiting for
+        its reply fails with :class:`ShardLostError`.
+        """
+        self._unhook(w)
+        w.proc.kill()
+        jobs, w.jobs = w.jobs, deque()
+        for job in jobs:
+            job(False, ShardLostError(f"shard {w.shard} {reason}"))
+        self._workers[w.shard] = self._spawn(w.shard, w.epoch + 1)
+        self._dead = _reap(self._dead + [w.proc], 0.0)
+        self._tally.pool_restarts += 1
+        self.obs.counter("shard.pool_restarts").inc()
+
+    def _read(self, w: _Worker) -> None:
+        """Take one reply off ``w``'s pipe and hand it to its job.
+
+        One message per call: a bound loop calls this on every readable
+        event (epoll is level-triggered, so a second queued reply fires
+        again).  EOF or a reset means the worker died.
+        """
+        try:
+            ok, payload = w.conn.recv()
+        except (EOFError, OSError):
+            self._replace(w, "lost its worker")
+            return
+        except Exception as exc:  # a reply that does not unpickle
+            ok, payload = False, exc
+        w.jobs.popleft()(ok, payload)
+
+    def _send(self, w: _Worker, data: bytes) -> bool:
+        """Write ``data`` to ``w``'s pipe; ``False`` if the worker is gone.
+
+        Never blocks a bound loop: bytes a full socket buffer refuses
+        (a stuck worker stops reading) wait in ``w.wbuf`` for the loop's
+        writer callback.  A blocking caller finishes the write itself —
+        it keeps one message in flight per shard, so the worker is
+        reading.
+        """
+        if w.wbuf:
+            w.wbuf += data
+            return True
+        try:
+            sent = w.sock.send(data, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            return False
+        if sent < len(data):
+            if self._loop is None:
+                try:
+                    w.sock.sendall(memoryview(data)[sent:])
+                except OSError:
+                    return False
+            else:
+                w.wbuf += memoryview(data)[sent:]
+                self._loop.add_writer(w.sock.fileno(), self._flush, w)
+        return True
+
+    def _flush(self, w: _Worker) -> None:
+        """Bound-loop writer callback: push ``w.wbuf`` into the pipe."""
+        try:
+            sent = w.sock.send(w.wbuf, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._replace(w, "lost its worker")
+            return
+        del w.wbuf[:sent]
+        if not w.wbuf:
+            self._loop.remove_writer(w.sock.fileno())
+
+    def _post(self, shard: int, msg: tuple, job: Callable) -> None:
+        """Send ``msg`` to the shard's worker; ``job(ok, payload)`` gets
+        its reply.
+
+        A send that finds the worker already dead (killed while idle,
+        its EOF not yet read) replaces it and goes to the replacement —
+        nothing of the message reached the old worker, so nothing is
+        lost.  Should the fresh worker be gone too, ``job`` fails with
+        :class:`ShardLostError`.
+        """
+        data = _frame(msg)
+        for attempt in range(2):
+            w = self._workers[shard]
+            w.jobs.append(job)
+            if self._send(w, data):
+                return
+            if attempt == 0:
+                w.jobs.pop()
+            self._replace(w, "lost its worker")
+
+    def _chunk_post(self, shard: int, pairs, faults, kw, done: Callable) -> tuple:
+        """The ``(shard, msg, job)`` post of one chunk: its worker time
+        feeds the ``shard.worker_seconds`` histogram, then the reply goes
+        to ``done(ok, (answers, meta) or error)``."""
+
+        def job(ok, payload):
+            if ok:
+                self.obs.histogram("shard.worker_seconds").observe(
+                    payload[1]["worker_s"]
+                )
+            done(ok, payload)
+
+        return shard, ("chunk", (pairs, faults, kw)), job
+
+    def _call_sync(self, posts: Sequence[tuple]) -> None:
+        """Run ``(shard, msg, job)`` posts to completion in this thread.
+
+        At most one message is in flight per shard, so the parent never
+        blocks writing to a worker that is itself blocked writing a
+        reply.  A shard silent for ``chunk_timeout`` is restarted, which
+        fails its message with :class:`ShardLostError`.
+        """
+        if self._loop is not None:
+            raise RuntimeError(
+                "this service's pipes belong to its bound event loop"
+            )
+        queues = [deque() for _ in self._workers]
+        for shard, msg, job in posts:
+            queues[shard].append((msg, job))
+        due: dict[int, float] = {}  # shard -> deadline of its message
+
+        def advance(shard: int) -> None:
+            while queues[shard] and not self._workers[shard].jobs:
+                due[shard] = time.monotonic() + self.chunk_timeout
+                self._post(shard, *queues[shard].popleft())
+            if self._workers[shard].jobs:
+                due.setdefault(shard, time.monotonic() + self.chunk_timeout)
+            else:
+                due.pop(shard, None)
+
+        for shard, queue in enumerate(queues):
+            if queue:
+                advance(shard)
+        while due:
+            conns = {self._workers[shard].conn: shard for shard in due}
+            timeout = max(0.0, min(due.values()) - time.monotonic())
+            for conn in wait_readable(list(conns), timeout):
+                self._read(self._workers[conns[conn]])
+            now = time.monotonic()
+            for shard in list(due):
+                if self._workers[shard].jobs and now >= due[shard]:
+                    self.restart_shard(shard)
+                advance(shard)
+
+    def bind_loop(self, loop) -> None:
+        """Hand the shard pipes to ``loop`` (call on the loop's thread).
+
+        From then on the loop reads every reply (``loop.add_reader``)
+        and makes every send; :meth:`start_chunk` and
+        :meth:`astats_bundle` are the entry points.  A worker's death is
+        seen the moment its EOF arrives, and the shard is respawned
+        without waiting for a chunk to time out.  The blocking calls
+        refuse pipes a loop owns.  No-op in local mode.
+        """
+        if self._workers is None:
+            return
+        self._loop = loop
+        for w in self._workers:
+            loop.add_reader(w.conn.fileno(), self._read, w)
 
     # ------------------------------------------------------------------
     # Serving
@@ -521,23 +727,19 @@ class ShardedQueryService:
             return self._rr
         return shard_of(key, self.num_shards)
 
-    def _chunk_started(self, shard: int) -> None:
-        with self._inflight_lock:
-            self._inflight[shard] += 1
-
-    def _chunk_finished(self, shard: int, meta: Optional[dict]) -> None:
-        with self._inflight_lock:
-            if self._inflight[shard] > 0:
-                self._inflight[shard] -= 1
-        if meta is not None:
-            self.obs.histogram("shard.worker_seconds").observe(
-                meta["worker_s"]
-            )
+    def _count_chunk(self, shard: int, size: int) -> None:
+        tally = self._tally
+        tally.chunks += 1
+        tally.per_shard[shard] += size
+        if size > tally.max_chunk:
+            tally.max_chunk = size
+        self.obs.histogram("shard.chunk_size").observe(size)
 
     def queue_depths(self) -> list[int]:
-        """Chunks currently in flight, per shard (live queue depth)."""
-        with self._inflight_lock:
-            return list(self._inflight)
+        """Messages in flight, per shard (live queue depth)."""
+        if self._workers is None:
+            return [0] * self.num_shards
+        return [len(w.jobs) for w in self._workers]
 
     def query_many(
         self, pairs: Sequence[tuple[int, int]], faults=(), **kw
@@ -548,48 +750,48 @@ class ShardedQueryService:
         dispatched to ``shard_of(key)``'s worker concurrently (hot keys
         round-robin over all shards — see :meth:`_shard_for`); answers
         return in request order with the scheme's native answer type.
+        A worker's exception (or :class:`ShardLostError`) is raised
+        once every other chunk of the call has been answered.
         """
         t0 = time.perf_counter()
         pairs = list(pairs)
         per = normalize_faults(pairs, faults)
         groups = group_by_canonical_key(per)
         results: list = [None] * len(pairs)
-        tally = self._tally
-        chunk_hist = self.obs.histogram("shard.chunk_size")
-        dispatched = []  # (qis, shard, async_result) in pool mode
+        errors: list = []
+
+        def fill(chunk, ok, payload):
+            if not ok:
+                errors.append(payload)
+                return
+            for qi, ans in zip(chunk, payload[0]):
+                results[qi] = ans
+
+        posts = []
         for key, qis in groups.items():
             for lo in range(0, len(qis), self.max_chunk):
                 chunk = qis[lo : lo + self.max_chunk]
                 shard = self._shard_for(key, len(chunk))
                 chunk_pairs = [pairs[qi] for qi in chunk]
-                tally.chunks += 1
-                tally.per_shard[shard] += len(chunk)
-                if len(chunk) > tally.max_chunk:
-                    tally.max_chunk = len(chunk)
-                chunk_hist.observe(len(chunk))
-                if self._pools is not None:
-                    self._chunk_started(shard)
-                    handle = self._pools[shard].apply_async(
-                        _worker_query, (chunk_pairs, list(key), kw)
+                self._count_chunk(shard, len(chunk))
+                if self._workers is not None:
+                    posts.append(
+                        self._chunk_post(
+                            shard, chunk_pairs, list(key), kw, partial(fill, chunk)
+                        )
                     )
-                    dispatched.append((chunk, shard, handle))
                 else:
                     answers = self._local[shard].query_many(
                         chunk_pairs, list(key), **kw
                     )
                     for qi, ans in zip(chunk, answers):
                         results[qi] = ans
-        for chunk, shard, handle in dispatched:
-            try:
-                answers, meta = handle.get(timeout=self.chunk_timeout)
-            except BaseException:
-                self._chunk_finished(shard, None)
-                raise
-            self._chunk_finished(shard, meta)
-            for qi, ans in zip(chunk, answers):
-                results[qi] = ans
-        tally.queries += len(pairs)
-        tally.busy_s += time.perf_counter() - t0
+        if posts:
+            self._call_sync(posts)
+        if errors:
+            raise errors[0]
+        self._tally.queries += len(pairs)
+        self._tally.busy_s += time.perf_counter() - t0
         return results
 
     def start_chunk(
@@ -597,127 +799,70 @@ class ShardedQueryService:
         pairs: Sequence[tuple[int, int]],
         faults: Sequence[int],
         kw: Optional[dict] = None,
-        callback: Optional[Callable] = None,
-        error_callback: Optional[Callable] = None,
-    ) -> int:
-        """Dispatch ONE already-coalesced chunk without blocking.
+    ):
+        """Dispatch ONE already-coalesced chunk from the bound loop.
 
         The asyncio front door (:mod:`repro.server.server`) coalesces
         and chunks requests itself; this is its non-blocking entry
-        point.  The chunk is routed like :meth:`query_many` routes it
-        (hash owner, or round-robin when the key is hot) and handed to
-        the shard's pool via ``apply_async`` — ``callback(answers,
-        meta)`` / ``error_callback(exc)`` fire on the pool's
-        result-handler thread when the worker finishes (``meta`` is the
-        worker-side timing dict of :func:`_worker_query` — the
-        ``partition`` span of a request trace).  A SIGKILLed worker never
-        completes its chunk, so callers must pair this with their own
-        deadline and report the loss via :meth:`restart_shard` (with
-        the :meth:`shard_epoch` read at dispatch time), after which
-        the next chunk is served by a fresh pool.  In local (no-pool)
-        mode the chunk is answered inline and the callback runs before
-        returning.
-
-        Returns the shard index the chunk was routed to.
+        point (:meth:`bind_loop` first).  The chunk is routed like
+        :meth:`query_many` routes it (hash owner, or round-robin when
+        the key is hot) and written to that shard's pipe.  Returns
+        ``(shard, future)``: the future resolves on the loop to
+        ``(answers, meta)`` (``meta`` is the worker-side timing dict of
+        :func:`_serve_chunk` — the ``partition`` span of a request
+        trace), or fails with :class:`ShardLostError` as soon as the
+        worker's death is read.  A worker that hangs never answers, so
+        callers pair this with their own deadline and report the loss
+        via :meth:`restart_shard` (with the :meth:`shard_epoch` read at
+        dispatch time).
         """
-        kw = kw or {}
+        if self._loop is None:
+            raise RuntimeError("start_chunk needs worker shards and bind_loop()")
         key = canonical_fault_key(faults)
         pairs = list(pairs)
         shard = self._shard_for(key, len(pairs))
-        tally = self._tally
-        tally.chunks += 1
-        tally.queries += len(pairs)
-        tally.per_shard[shard] += len(pairs)
-        if len(pairs) > tally.max_chunk:
-            tally.max_chunk = len(pairs)
-        self.obs.histogram("shard.chunk_size").observe(len(pairs))
-        if self._pools is not None:
-            self._chunk_started(shard)
-
-            def _on_ok(res, _shard=shard, _cb=callback):
-                answers, meta = res
-                self._chunk_finished(_shard, meta)
-                if _cb is not None:
-                    _cb(answers, meta)
-
-            def _on_err(exc, _shard=shard, _ecb=error_callback):
-                self._chunk_finished(_shard, None)
-                if _ecb is not None:
-                    _ecb(exc)
-
-            self._pools[shard].apply_async(
-                _worker_query,
-                (pairs, list(key), kw),
-                callback=_on_ok,
-                error_callback=_on_err,
+        self._count_chunk(shard, len(pairs))
+        self._tally.queries += len(pairs)
+        future = self._loop.create_future()
+        self._post(
+            *self._chunk_post(
+                shard, pairs, list(key), kw or {}, partial(_settle, future)
             )
-            return shard
-        t0 = time.perf_counter()
-        try:
-            answers = self._local[shard].query_many(pairs, list(key), **kw)
-        except Exception as exc:  # pragma: no cover - scheme-level failure
-            if error_callback is not None:
-                error_callback(exc)
-                return shard
-            raise
-        if callback is not None:
-            callback(
-                answers,
-                {"worker_s": time.perf_counter() - t0, "pid": os.getpid()},
-            )
-        return shard
+        )
+        return shard, future
 
     def worker_pids(self) -> list[int]:
         """Live worker process ids, one per shard (empty in local mode).
 
-        The chaos tests SIGKILL entries of this list; once the loss is
-        detected (:meth:`restart_shard`) the shard gets a whole new
-        pool, so calling this again returns the replacements.
+        These are every process that serves chunks.  The chaos tests
+        SIGKILL entries of this list; once the loss is read (EOF) or
+        reported (:meth:`restart_shard`) the shard gets a fresh worker,
+        so calling this again returns the replacements.
         """
-        if self._pools is None:
+        if self._workers is None:
             return []
-        return [proc.pid for pool in self._pools for proc in pool._pool]
-
-    def _make_pool(self):
-        initializer, initargs = self._pool_init
-        return self._mp_ctx.Pool(
-            processes=1, initializer=initializer, initargs=initargs
-        )
+        return [w.pid for w in self._workers]
 
     def shard_epoch(self, shard: int) -> int:
-        """Generation counter of a shard's pool (see :meth:`restart_shard`)."""
-        return 0 if self._pools is None else self._pool_epochs[shard]
+        """Generation counter of a shard's worker (see :meth:`restart_shard`)."""
+        return 0 if self._workers is None else self._workers[shard].epoch
 
     def restart_shard(self, shard: int, epoch: Optional[int] = None) -> bool:
-        """Replace one shard's pool wholesale after a presumed-lost worker.
+        """Kill and respawn one shard's worker after a chunk timed out.
 
-        ``multiprocessing.Pool`` does respawn a worker that died
-        mid-task, but a worker SIGKILLed while *idle* dies holding the
-        task queue's reader semaphore and the pool is wedged for good —
-        no respawn can read tasks again.  Healing therefore never
-        trusts the old pool: the shard gets a brand-new pool (fresh
-        queues, fresh locks, initializer re-run) and the old one is
-        reaped in the background with SIGKILL escalation.
-
-        ``epoch`` (from :meth:`shard_epoch`, read at dispatch time)
-        makes concurrent failure reports idempotent: only the first
-        report of a given pool generation restarts it; the rest were
-        in flight on the pool that is already being replaced.  Returns
-        whether a restart actually happened.
+        A worker that *dies* is replaced as soon as its EOF is read;
+        this is for one that hangs.  Its in-flight messages fail with
+        :class:`ShardLostError`.  ``epoch`` (from :meth:`shard_epoch`,
+        read at dispatch time) makes concurrent failure reports
+        idempotent: only a report about the current worker restarts it.
+        Returns whether a restart actually happened.
         """
-        if self._pools is None:
+        if self._workers is None:
             return False
-        if epoch is not None and epoch != self._pool_epochs[shard]:
+        w = self._workers[shard]
+        if epoch is not None and epoch != w.epoch:
             return False
-        old = self._pools[shard]
-        self._pools[shard] = self._make_pool()
-        self._pool_epochs[shard] += 1
-        self._tally.pool_restarts += 1
-        self.obs.counter("shard.pool_restarts").inc()
-        with self._inflight_lock:
-            # everything in flight on the old pool is lost with it
-            self._inflight[shard] = 0
-        _reap_pool_async(old)
+        self._replace(w, "restarted after a chunk timeout")
         return True
 
     # ------------------------------------------------------------------
@@ -791,23 +936,28 @@ class ShardedQueryService:
     def _worker_sweep(self) -> list[tuple]:
         """One ``(hits, misses, evictions, entries, obs_wire)`` per shard.
 
-        Pool mode round-trips every worker (blocking); local mode reads
-        the in-process caches directly.
+        With workers this is one blocking round trip to each; local
+        mode reads the in-process caches directly.
         """
-        if self._pools is not None:
-            return [pool.apply(_worker_cache_stats) for pool in self._pools]
-        sweep = []
-        for cache in self._local:
-            wire = cache.obs.to_wire() if cache.obs is not None else None
-            sweep.append(
-                (
-                    cache.stats.hits,
-                    cache.stats.misses,
-                    cache.stats.evictions,
-                    len(cache),
-                    wire,
-                )
-            )
+        if self._workers is None:
+            return [_cache_stats(cache) for cache in self._local]
+        sweep: list = [None] * self.num_shards
+        errors: list = []
+
+        def put(shard, ok, payload):
+            if ok:
+                sweep[shard] = payload
+            else:
+                errors.append(payload)
+
+        self._call_sync(
+            [
+                (shard, ("stats", ()), partial(put, shard))
+                for shard in range(self.num_shards)
+            ]
+        )
+        if errors:
+            raise errors[0]
         return sweep
 
     def stats(self, _sweep: Optional[list] = None) -> ServiceStats:
@@ -887,23 +1037,47 @@ class ShardedQueryService:
         sweep = self._worker_sweep()
         return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
 
-    def close(self) -> None:
-        """Flush pending submits, then reap the pools (idempotent).
+    async def astats_bundle(self) -> tuple[ServiceStats, dict]:
+        """:meth:`stats_bundle` for a service bound to the running loop:
+        the sweep's replies are read by the loop, never by a thread."""
+        if self._loop is None:
+            return self.stats_bundle()
+        futures = []
+        for shard in range(self.num_shards):
+            future = self._loop.create_future()
+            self._post(shard, ("stats", ()), partial(_settle, future))
+            futures.append(future)
+        sweep = await asyncio.gather(*futures)
+        return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
 
-        Each pool gets :func:`_reap_pool`'s bounded shutdown — a clean
-        terminate+join normally, SIGKILL escalation when a chaos event
-        left the pool's queue locks poisoned — so ``close()`` returns
-        in bounded time with every worker process dead either way.
+    def close(self) -> None:
+        """Flush pending submits, then stop every worker (idempotent).
+
+        Closing the pipes is not enough: a forked worker inherits the
+        other shards' pipe ends, so it may never read EOF.  Every worker
+        gets SIGTERM and, after :data:`_STOP_GRACE_S`, SIGKILL — so
+        ``close()`` returns in bounded time with every worker process
+        (replaced ones included) reaped.  Messages still in flight fail
+        with :class:`ShardLostError`.
         """
         if self._buffers:
             self.flush()
-        if self._pools is not None:
-            pools, self._pools = self._pools, None
-            for pool in pools:
-                _reap_pool(pool)
-        if self._token is not None:
-            _WORKER.pop(self._token, None)
-            self._token = None
+        if self._workers is None:
+            return
+        workers, self._workers = self._workers, None
+        procs, self._dead = self._dead, []
+        for w in workers:
+            self._unhook(w)
+            w.proc.terminate()
+            procs.append(w.proc)
+        survivors = _reap(procs, _STOP_GRACE_S)
+        for proc in survivors:
+            proc.kill()
+        _reap(survivors, _STOP_GRACE_S)
+        for w in workers:
+            for job in w.jobs:
+                job(False, ShardLostError(f"shard {w.shard} closed"))
+            w.jobs.clear()
 
     def __enter__(self) -> "ShardedQueryService":
         return self

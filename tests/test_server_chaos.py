@@ -1,16 +1,21 @@
-"""Chaos test: SIGKILL a shard worker under live load.
+"""Chaos tests: SIGKILL shard workers, feed reloads bad snapshots.
 
 The promised failure domain (see ``repro/server/server.py``): killing
-one spawn-mode shard worker mid-load
+one spawn-mode shard worker mid-load, with chunks in flight on it,
 
 * errors exactly the requests in flight on that shard — as clean
-  ``SHARD_LOST`` error frames after the chunk timeout, never a hang or
-  a traceback;
+  ``SHARD_LOST`` error frames as soon as the server reads the worker's
+  EOF, never a hang or a traceback;
 * leaves every other shard's stream untouched (zero errors);
-* heals itself: the pool respawns the worker (the initializer re-opens
-  the snapshot mmap) and subsequent answers are bit-identical to
+* heals itself: the server respawns the worker (which re-opens the
+  snapshot mmap) and subsequent answers are bit-identical to
   in-process ``query_many``;
 * leaks nothing: every worker process is gone once the server closes.
+
+Killing a worker while it is idle costs no request anything: the
+server respawns it at once, and the next chunk for that shard is
+answered well inside the chunk timeout.  A reload to a missing or
+corrupt snapshot fails without burning a generation version.
 """
 
 from __future__ import annotations
@@ -134,6 +139,18 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
                     await asyncio.sleep(0.02)
                 assert ok["shard0"] >= 3, "streams never warmed up"
 
+                # Freeze the doomed worker first, so chunks are certainly
+                # in flight on it when it dies: a worker killed while
+                # idle fails nothing (see the idle-kill test below).
+                # Replies written before the freeze are read during the
+                # pause; whatever is in flight afterwards never returns.
+                os.kill(victim, signal.SIGSTOP)
+                await asyncio.sleep(0.2)
+                service = harness.server.generation.service
+                t0 = loop.time()
+                while not service.queue_depths()[0] and loop.time() - t0 < 30:
+                    await asyncio.sleep(0.02)
+                assert service.queue_depths()[0], "no chunk reached the worker"
                 os.kill(victim, signal.SIGKILL)
 
                 # the in-flight chunks surface as SHARD_LOST ...
@@ -182,3 +199,66 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
         if remaining:
             time.sleep(0.1)
     assert not remaining, f"leaked worker processes: {sorted(remaining)}"
+
+
+def test_idle_worker_kill_heals_without_a_timeout(chaos_env):
+    graph, scheme, snap = chaos_env
+    rnd = random.Random(57)
+    F0 = _fault_set_on_shard(graph, 0, 2, rnd)
+    pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(16)]
+    expected = scheme.query_many(pairs, F0)
+
+    with ServerThread(
+        snapshot=snap,
+        num_shards=2,
+        chunk_timeout=CHUNK_TIMEOUT_S,
+        deadline_s=60.0,
+        hot_key_share=None,
+    ) as harness:
+        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+            # shard 0's worker is up, has answered, and now sits idle
+            assert client.connectivity(pairs, F0) == expected
+            victim = harness.server.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+
+            # no request is in flight: the server notices the death on
+            # its own and respawns the worker
+            deadline = time.monotonic() + 30
+            while victim in harness.server.worker_pids():
+                assert time.monotonic() < deadline, "victim never replaced"
+                time.sleep(0.02)
+            pids = harness.server.worker_pids()
+            assert len(pids) == 2 and all(_alive(p) for p in pids)
+
+            t0 = time.monotonic()
+            answers = client.connectivity(pairs, F0)
+            elapsed = time.monotonic() - t0
+            stats = client.stats()
+        assert answers == expected
+        # served by the fresh worker (its start-up included), not
+        # rescued by a timeout
+        assert elapsed < 0.6 * CHUNK_TIMEOUT_S, f"answer took {elapsed:.2f}s"
+        assert stats["server"]["errors"] == {}
+        assert stats["service"]["pool_restarts"] == 1
+
+
+def test_failed_reload_keeps_the_version(chaos_env, tmp_path):
+    graph, scheme, snap = chaos_env
+    bogus = tmp_path / "bogus.snap"
+    bogus.write_bytes(b"not a snapshot at all")
+    pairs = [(0, 1), (2, 3)]
+
+    with ServerThread(snapshot=snap, num_shards=0) as harness:
+        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+            before = client.ping()
+            for bad in (tmp_path / "missing.snap", bogus):
+                with pytest.raises(ServerError):
+                    client.reload(str(bad))
+                assert client.ping() == before
+                assert harness.server.version == before
+                # the old generation keeps serving
+                assert client.connectivity(pairs, [0]) == scheme.query_many(
+                    pairs, [0]
+                )
+            old, new, _kind = client.reload(snap)
+        assert (old, new) == (before, before + 1)

@@ -1,0 +1,202 @@
+"""Shard worker processes on their own pipes: lifecycle and failures.
+
+:class:`~repro.serving.shards.ShardedQueryService` runs one worker
+process per shard and talks to it over one duplex pipe, with no helper
+thread in the parent.  These tests pin what that design promises to a
+blocking caller (``tests/test_server_chaos.py`` covers the event-loop
+side through the socket server):
+
+* no thread is started, and ``close()`` leaves no worker alive;
+* a worker killed while idle is replaced by the next send — the chunk
+  is answered, not lost;
+* a hung worker costs one ``ShardLostError`` after ``chunk_timeout``,
+  then the shard answers again from a fresh worker;
+* a worker's exception reaches the caller and the worker keeps serving;
+* ``close()`` is bounded even when workers ignore SIGTERM;
+* a loop-bound service never blocks its loop on a worker that stopped
+  reading.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+import random
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.core.sketch_scheme import SketchConnectivityScheme
+from repro.graph import generators
+from repro.serving import ShardedQueryService, canonical_fault_key, shard_of
+from repro.serving.shards import ShardLostError
+from repro.store import save_snapshot
+
+# worker processes on pipes: arm the conftest watchdog, so a wedged
+# pipe fails the test instead of hanging the suite
+pytestmark = pytest.mark.network
+
+
+@pytest.fixture(scope="module")
+def scheme():
+    graph = generators.random_connected_graph(72, extra_edges=100, seed=21)
+    return SketchConnectivityScheme(graph, seed=5)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (zombies count as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_dead(pid: int, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while _alive(pid):
+        assert time.monotonic() < deadline, f"pid {pid} never died"
+        time.sleep(0.01)
+
+
+def _faults_on_shard(scheme, shard: int, num_shards: int = 2, seed: int = 3):
+    rnd = random.Random(seed)
+    while True:
+        F = sorted(rnd.sample(range(scheme.graph.m), 3))
+        if shard_of(canonical_fault_key(F), num_shards) == shard:
+            return F
+
+
+def _pairs(scheme, count: int = 12, seed: int = 4):
+    rnd = random.Random(seed)
+    return [tuple(rnd.sample(range(scheme.graph.n), 2)) for _ in range(count)]
+
+
+def test_spawn_workers_start_no_threads_and_outlive_nothing(scheme, tmp_path):
+    snap = tmp_path / "scheme.snap"
+    save_snapshot(snap, scheme)
+    pairs = _pairs(scheme)
+    per = [_faults_on_shard(scheme, i % 2, seed=i) for i in range(len(pairs))]
+    threads = threading.active_count()
+    svc = ShardedQueryService.from_snapshot(snap, num_shards=2)
+    try:
+        assert svc.mode == "spawn"
+        assert svc.query_many(pairs, per) == scheme.query_many(pairs, per)
+        assert svc.stats().queries == len(pairs)
+        assert threading.active_count() == threads
+        pids = svc.worker_pids()
+        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+    finally:
+        svc.close()
+    assert not [pid for pid in pids if _alive(pid)]
+
+
+def test_idle_kill_is_healed_by_the_next_send(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme)
+    expected = scheme.query_many(pairs, F0)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+        assert svc.query_many(pairs, F0) == expected
+        victim = svc.worker_pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        _wait_dead(victim)
+        assert svc.query_many(pairs, F0) == expected
+        assert victim not in svc.worker_pids()
+        assert svc.stats().pool_restarts == 1
+
+
+def test_hung_worker_times_out_then_the_shard_recovers(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme)
+    expected = scheme.query_many(pairs, F0)
+    with ShardedQueryService(
+        scheme, num_shards=2, hot_key_share=None, chunk_timeout=0.5
+    ) as svc:
+        victim = svc.worker_pids()[0]
+        os.kill(victim, signal.SIGSTOP)
+        t0 = time.monotonic()
+        with pytest.raises(ShardLostError):
+            svc.query_many(pairs, F0)
+        assert time.monotonic() - t0 < 10
+        _wait_dead(victim)
+        assert victim not in svc.worker_pids()
+        assert svc.query_many(pairs, F0) == expected
+        assert svc.queue_depths() == [0, 0]
+
+
+def test_worker_exception_reaches_the_caller(scheme):
+    pairs = _pairs(scheme)
+    F0 = _faults_on_shard(scheme, 0)
+    with ShardedQueryService(scheme, num_shards=2) as svc:
+        pids = svc.worker_pids()
+        with pytest.raises(TypeError):
+            svc.query_many(pairs, F0, no_such_option=True)
+        assert svc.worker_pids() == pids
+        assert svc.query_many(pairs, F0) == scheme.query_many(pairs, F0)
+
+
+def test_close_is_bounded_when_workers_ignore_sigterm(scheme):
+    svc = ShardedQueryService(scheme, num_shards=2)
+    pids = svc.worker_pids()
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)  # a stopped process sits on SIGTERM
+    t0 = time.monotonic()
+    svc.close()
+    assert time.monotonic() - t0 < 15
+    assert not [pid for pid in pids if _alive(pid)]
+
+
+def test_pipes_have_one_owner(scheme):
+    pairs = _pairs(scheme)
+    F0 = _faults_on_shard(scheme, 0)
+    with ShardedQueryService(scheme, num_shards=2) as svc:
+        with pytest.raises(RuntimeError):
+            svc.start_chunk(pairs, F0)  # nobody would read the reply
+
+        async def bound():
+            svc.bind_loop(asyncio.get_running_loop())
+            with pytest.raises(RuntimeError):
+                svc.query_many(pairs, F0)  # the loop reads these pipes
+            _shard, future = svc.start_chunk(pairs, F0)
+            answers, meta = await asyncio.wait_for(future, 60)
+            stats, registry = await svc.astats_bundle()
+            return answers, meta, stats
+
+        answers, meta, stats = asyncio.run(bound())
+        assert answers == scheme.query_many(pairs, F0)
+        assert meta["pid"] in svc.worker_pids()
+        assert stats.queries == len(pairs) and stats.cache_misses == 1
+
+
+def test_a_stopped_worker_never_blocks_the_loop(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme)
+    # megabytes of pickle: far more than a socket buffer takes in
+    big = _pairs(scheme, count=100_000)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            svc.bind_loop(loop)
+            victim = svc.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            shard, stuck = svc.start_chunk(big, F0)  # returns at once
+            ticks = 0
+            t0 = loop.time()
+            while loop.time() - t0 < 0.3:  # the loop keeps turning
+                await asyncio.sleep(0.01)
+                ticks += 1
+            assert shard == 0 and not stuck.done() and ticks > 5
+            assert svc.restart_shard(0, epoch=svc.shard_epoch(0))
+            with pytest.raises(ShardLostError):
+                await stuck
+            _shard, fresh = svc.start_chunk(pairs, F0)
+            answers, _meta = await asyncio.wait_for(fresh, 60)
+            return victim, answers
+
+        victim, answers = asyncio.run(drive())
+        assert answers == scheme.query_many(pairs, F0)
+        _wait_dead(victim)
+        assert victim not in svc.worker_pids()
