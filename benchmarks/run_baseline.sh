@@ -8,7 +8,10 @@
 # socket server's throughput ratio / zero-downtime reload (vs
 # BENCH_server.json) regressed more than 2x against the committed
 # numbers, or the observability layer costs more than its 5% hard
-# bar (vs BENCH_obs.json).  Intended for CI / pre-merge:
+# bar (vs BENCH_obs.json).  Last, it runs the repository benchmark's
+# own test (perfbench/check_smoke.py, about a minute): every workload at
+# smoke size, correct, with the declared metrics and repeatable
+# fingerprints.  Intended for CI / pre-merge:
 #
 #   ./benchmarks/run_baseline.sh
 #
@@ -32,3 +35,4 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.bench_snapshot 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.bench_server --check "$@"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.bench_obs --check "$@"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.bench_scale --check "$@"
+python3 perfbench/check_smoke.py

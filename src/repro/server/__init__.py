@@ -7,52 +7,49 @@ fault-set chunks out to shard workers mmap'ing that one snapshot and
 supports zero-downtime blue/green snapshot reload.
 
 * :mod:`repro.server.protocol` — versioned length-prefixed binary
-  frames (queries, answers, errors, stats, admin reload) and the
-  bit-exact wire codecs for scheme answers;
+  frames (queries, answers, errors, stats, admin reload), the
+  bit-exact wire codecs for scheme answers, and the answer writers
+  shard workers encode their replies with;
 * :mod:`repro.server.server` — the asyncio server: coalescing,
   shard fan-out, backpressure, deadlines, generation swap;
 * :mod:`repro.server.client` — blocking and asyncio clients that
   rebuild native answer dataclasses from the wire.
 
+The names below are imported on first use, so a shard worker that
+needs only :mod:`repro.server.protocol` (to run an answer writer) never
+loads the server or the clients.
+
 See ``src/repro/server/README.md`` for the serving trace.
 """
 
-from repro.server.client import (
-    AsyncQueryClient,
-    QueryClient,
-    ServerError,
-    StatsReport,
-)
-from repro.server.protocol import (
-    ErrorCode,
-    Frame,
-    FrameDecoder,
-    FrameType,
-    ProtocolError,
-    encode_frame,
-)
-from repro.server.server import (
-    BadQueryError,
-    LabelServer,
-    ServerStats,
-    ShardLostError,
-    run_server,
-)
+from importlib import import_module
 
-__all__ = [
-    "AsyncQueryClient",
-    "BadQueryError",
-    "ErrorCode",
-    "Frame",
-    "FrameDecoder",
-    "FrameType",
-    "LabelServer",
-    "ProtocolError",
-    "QueryClient",
-    "ServerError",
-    "ServerStats",
-    "ShardLostError",
-    "StatsReport",
-    "encode_frame",
-    "run_server",
-]
+_EXPORTS = {
+    "AsyncQueryClient": "repro.server.client",
+    "QueryClient": "repro.server.client",
+    "ServerError": "repro.server.client",
+    "StatsReport": "repro.server.client",
+    "ErrorCode": "repro.server.protocol",
+    "Frame": "repro.server.protocol",
+    "FrameDecoder": "repro.server.protocol",
+    "FrameType": "repro.server.protocol",
+    "ProtocolError": "repro.server.protocol",
+    "encode_frame": "repro.server.protocol",
+    "BadQueryError": "repro.server.server",
+    "LabelServer": "repro.server.server",
+    "ServerStats": "repro.server.server",
+    "ShardLostError": "repro.server.server",
+    "run_server": "repro.server.server",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

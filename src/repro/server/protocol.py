@@ -36,6 +36,16 @@ schemes' native dataclasses (:func:`wire_to_sk_result`,
 ``query_many`` / ``route_many`` answer.  That equality is the server's
 acceptance bar (``tests/test_server_e2e.py``).
 
+Replies are written where the answers are made.  The answer writers
+(:func:`write_sk_results`, :func:`write_bools`, :func:`write_floats`)
+turn a chunk of native answers into a list of encoded items, one
+``bytes`` per answer, each equal to :func:`encode_value` of the
+answer's wire value.  Shard workers run them and send the items over
+their pipe; the server wraps the reply's items in
+:class:`EncodedItems`, which :func:`encode_frame` splices verbatim, so
+the frame is byte-identical to encoding the value list and the front
+door never builds an answer object or a value tree.
+
 :class:`FrameDecoder` is incremental and paranoid: feed it any byte
 stream; it yields complete frames and raises :class:`ProtocolError` on
 garbage — truncated streams simply never yield (no hang, no crash:
@@ -138,6 +148,20 @@ _T_TUPLE = b"t"
 #: Value trees deeper than this are rejected (stack-blowing payloads).
 _MAX_DEPTH = 32
 
+_DOUBLE = struct.Struct("!d")
+
+
+class EncodedItems(list):
+    """A list payload whose items are already-encoded value trees.
+
+    Each item is the ``bytes`` that :func:`encode_value` gives for one
+    value (the answer writers below make them).  Encoding the list
+    splices the items verbatim, so ``EncodedItems(map(encode_value,
+    values))`` encodes exactly like ``list(values)``.
+    """
+
+    __slots__ = ()
+
 
 def _write_varint(out: bytearray, value: int) -> None:
     while True:
@@ -164,7 +188,7 @@ def _write_value(out: bytearray, value, depth: int) -> None:
         _write_varint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
     elif isinstance(value, float):
         out += _T_FLOAT
-        out += struct.pack("!d", value)
+        out += _DOUBLE.pack(value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out += _T_STR
@@ -177,8 +201,11 @@ def _write_value(out: bytearray, value, depth: int) -> None:
     elif isinstance(value, (list, tuple)):
         out += _T_LIST if isinstance(value, list) else _T_TUPLE
         _write_varint(out, len(value))
-        for item in value:
-            _write_value(out, item, depth + 1)
+        if type(value) is EncodedItems:
+            out += b"".join(value)
+        else:
+            for item in value:
+                _write_value(out, item, depth + 1)
     else:
         raise ProtocolError(f"cannot encode {type(value).__name__} values")
 
@@ -281,6 +308,8 @@ def encode_frame(
     With ``trace_id`` set, :data:`FLAG_TRACED` is raised on the type
     byte and the 8-byte id is written between header and payload;
     without it the bytes are identical to the pre-tracing encoding.
+    An :class:`EncodedItems` payload (a reply's answer-writer items) is
+    spliced into the frame as is, never decoded.
     """
     raw = encode_value(payload)
     if len(raw) > MAX_PAYLOAD:
@@ -453,6 +482,72 @@ def wire_to_sk_result(value) -> SkDecodeResult:
         raise ProtocolError(f"malformed connectivity answer: {exc}") from exc
 
 
+#: ``encode_value`` of every zigzagged int below 128: one tag, one byte.
+_SMALL_INTS = [_T_INT + bytes([z]) for z in range(0x80)]
+_TUPLE3 = _T_TUPLE + b"\x03"
+_TUPLE8 = _T_TUPLE + b"\x08"
+_KIND_ITEMS = {kind: encode_value(kind) for kind in ("edge", "tree")}
+
+
+def _put_int(out: bytearray, value: int) -> None:
+    """Append ``encode_value(value)`` of an int to ``out``."""
+    z = value << 1 if value >= 0 else ((-value) << 1) - 1
+    if z < 0x80:
+        out += _SMALL_INTS[z]
+    else:
+        out += _T_INT
+        _write_varint(out, z)
+
+
+def write_sk_results(answers) -> list[bytes]:
+    """Encoded reply items of ``SkDecodeResult`` answers.
+
+    Item ``i`` equals ``encode_value(sk_result_to_wire(answers[i]))``,
+    written straight from the dataclass fields without building the
+    value tree.  Shard workers call it on the answers of a chunk.
+    """
+    items = []
+    for a in answers:
+        out = bytearray(_TUPLE3)
+        out += _T_TRUE if a.connected else _T_FALSE
+        _put_int(out, int(a.phases_used))
+        path = a.path
+        if path is None:
+            out += _T_NONE
+        else:
+            out += _TUPLE3
+            _put_int(out, path.s)
+            _put_int(out, path.t)
+            segments = path.segments
+            out += _T_LIST
+            _write_varint(out, len(segments))
+            for seg in segments:
+                out += _TUPLE8
+                kind = _KIND_ITEMS.get(seg.kind)
+                out += encode_value(seg.kind) if kind is None else kind
+                _put_int(out, seg.x)
+                _put_int(out, seg.y)
+                for value in (
+                    seg.port_x, seg.port_y, seg.tlabel_x, seg.tlabel_y, seg.eid
+                ):
+                    if value is None:
+                        out += _T_NONE
+                    else:
+                        _put_int(out, int(value))
+        items.append(bytes(out))
+    return items
+
+
+def write_bools(answers) -> list[bytes]:
+    """Encoded reply items of connectivity verdicts (``bool(a)`` each)."""
+    return [_T_TRUE if a else _T_FALSE for a in answers]
+
+
+def write_floats(answers) -> list[bytes]:
+    """Encoded reply items of distance estimates (``float(a)`` each)."""
+    return [_T_FLOAT + _DOUBLE.pack(float(a)) for a in answers]
+
+
 def route_result_to_wire(result: RouteResult):
     """``RouteResult`` (trace + full telemetry) as a value tree."""
     tel = result.telemetry
@@ -506,6 +601,7 @@ def wire_to_route_result(value) -> RouteResult:
 
 
 __all__ = [
+    "EncodedItems",
     "ErrorCode",
     "FLAG_TRACED",
     "Frame",
@@ -527,4 +623,7 @@ __all__ = [
     "sk_result_to_wire",
     "wire_to_route_result",
     "wire_to_sk_result",
+    "write_bools",
+    "write_floats",
+    "write_sk_results",
 ]

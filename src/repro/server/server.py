@@ -11,7 +11,10 @@ service speaking the :mod:`repro.server.protocol` frames:
   :meth:`~repro.serving.shards.ShardedQueryService.start_chunk` path —
   the event loop owns every shard pipe (it writes chunks without
   blocking and reads replies as they arrive), so no thread sits between
-  the loop and a worker and the loop never blocks on one;
+  the loop and a worker and the loop never blocks on one.  Workers
+  reply with encoded v1 items (the generation's answer writer runs
+  where the answers are made), which the loop splices into the reply
+  frame without decoding them;
 * **coalescing** — single-pair requests from any number of connections
   are funneled through per-generation
   :class:`~repro.serving.coalescer.AsyncQueryCoalescer` instances (one
@@ -54,11 +57,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from repro.core.sketch_scheme import SkDecodeResult
 from repro.obs import MetricsRegistry, SlowQueryLog, Trace
 from repro.serving.coalescer import AsyncQueryCoalescer
 from repro.serving.shards import ShardedQueryService, ShardLostError
 from repro.server.protocol import (
+    EncodedItems,
     ErrorCode,
     Frame,
     FrameDecoder,
@@ -68,19 +71,23 @@ from repro.server.protocol import (
     decode_pairs,
     encode_frame,
     route_result_to_wire,
-    sk_result_to_wire,
+    write_bools,
+    write_floats,
+    write_sk_results,
 )
 
-#: snapshot ``kind`` -> the query frame a generation of that kind answers.
-_KIND_QUERY = {
-    "sketch": FrameType.CONNECTIVITY,
-    "forest": FrameType.CONNECTIVITY,
-    "cycle_space": FrameType.CONNECTIVITY,
-    "connectivity-facade": FrameType.CONNECTIVITY,
-    "distance": FrameType.DISTANCE,
-    "distance-facade": FrameType.DISTANCE,
-    "router": FrameType.ROUTE,
-    "routing-facade": FrameType.ROUTE,
+#: snapshot ``kind`` -> (the query frame a generation of that kind
+#: answers, the answer writer that encodes its replies).  Only the
+#: sketch scheme's answers carry paths, so only it is asked ``want_path``.
+_KINDS = {
+    "sketch": (FrameType.CONNECTIVITY, write_sk_results),
+    "forest": (FrameType.CONNECTIVITY, write_bools),
+    "cycle_space": (FrameType.CONNECTIVITY, write_bools),
+    "connectivity-facade": (FrameType.CONNECTIVITY, write_bools),
+    "distance": (FrameType.DISTANCE, write_floats),
+    "distance-facade": (FrameType.DISTANCE, write_floats),
+    "router": (FrameType.ROUTE, None),
+    "routing-facade": (FrameType.ROUTE, None),
 }
 
 
@@ -163,7 +170,7 @@ class _Generation:
         self.router = router
         self.n = n
         self.m = m
-        self.query_type = _KIND_QUERY[kind]
+        self.query_type, self.writer = _KINDS[kind]
         self.refs = 0
         self.retired = False
         self._drained: Optional[asyncio.Event] = None
@@ -297,7 +304,7 @@ class LabelServer:
             obj = self._backend
             kind = _kind_of(obj)
             n, m = obj.graph.n, obj.graph.m
-            if _KIND_QUERY[kind] is FrameType.ROUTE:
+            if _KINDS[kind][0] is FrameType.ROUTE:
                 return _Generation(kind, None, None, obj, n, m)
             service = ShardedQueryService(
                 obj,
@@ -314,10 +321,10 @@ class LabelServer:
 
         info = snapshot_info(path)
         kind = info["kind"]
-        if kind not in _KIND_QUERY:
+        if kind not in _KINDS:
             raise ValueError(f"snapshot {path} holds unservable kind {kind!r}")
         n, m = _graph_dims(info["meta"])
-        if _KIND_QUERY[kind] is FrameType.ROUTE:
+        if _KINDS[kind][0] is FrameType.ROUTE:
             router = load_snapshot(path)
             return _Generation(kind, path, None, router, n, m)
         service = ShardedQueryService.from_snapshot(
@@ -464,7 +471,8 @@ class LabelServer:
     async def _service_chunk(
         self, gen: _Generation, pairs, faults, kw, trace: Optional[Trace] = None
     ) -> list:
-        """One coalesced chunk through the generation's shard service.
+        """One coalesced chunk through the generation's shard service,
+        answered as encoded reply items (``gen.writer``'s output).
 
         With a ``trace``, the chunk's shard window becomes a ``shard``
         span and the worker-reported decode time a ``partition`` span
@@ -474,31 +482,21 @@ class LabelServer:
         happens where the request is still individual.
         """
         service = gen.service
+        t0 = time.perf_counter()
         if service.mode == "local":
-            # Local mode: numpy work on the (single) blocking thread.
-            t0 = time.perf_counter()
-            answers = await asyncio.get_running_loop().run_in_executor(
+            # Local mode: numpy work and encoding on the (single)
+            # blocking thread.
+            items = await asyncio.get_running_loop().run_in_executor(
                 self._blocking,
-                partial(service.query_many, pairs, faults, **kw),
+                lambda: gen.writer(service.query_many(pairs, faults, **kw)),
             )
             if trace is not None:
                 trace.add_span("shard", t0, time.perf_counter() - t0)
-            return answers
-        t0 = time.perf_counter()
-        shard, future = service.start_chunk(pairs, faults, kw)
-        epoch = service.shard_epoch(shard)
-        try:
-            # A worker that dies fails the future with ShardLostError
-            # the moment its EOF is read; only a hung one runs out the
-            # clock, and then it is killed and respawned.
-            answers, meta = await asyncio.wait_for(
-                future, timeout=self.chunk_timeout
-            )
-        except asyncio.TimeoutError:
-            service.restart_shard(shard, epoch=epoch)
-            raise ShardLostError(
-                f"shard {shard} did not answer within {self.chunk_timeout}s"
-            ) from None
+            return items
+        # The service bounds the chunk: a worker that dies or hangs past
+        # the chunk timeout fails the future with ShardLostError.
+        shard, future = service.start_chunk(pairs, faults, kw, gen.writer)
+        items, meta = await future
         if trace is not None:
             dur = time.perf_counter() - t0
             trace.add_span("shard", t0, dur)
@@ -508,7 +506,7 @@ class LabelServer:
                     "partition", t0 + max(0.0, dur - worker_s), worker_s
                 )
             trace.meta.setdefault("shards", []).append(shard)
-        return answers
+        return items
 
     def _coalescer_for(self, gen: _Generation, kw: dict) -> AsyncQueryCoalescer:
         key = tuple(sorted(kw.items()))
@@ -540,17 +538,17 @@ class LabelServer:
                     s, t, faults, trace=trace
                 )
             ]
-        chunks = [
-            pairs[lo : lo + self.max_chunk]
-            for lo in range(0, len(pairs), self.max_chunk)
-        ]
-        answers = await asyncio.gather(
+        if len(pairs) <= self.max_chunk:
+            return await self._service_chunk(gen, pairs, faults, kw, trace=trace)
+        chunks = await asyncio.gather(
             *(
-                self._service_chunk(gen, chunk, faults, kw, trace=trace)
-                for chunk in chunks
+                self._service_chunk(
+                    gen, pairs[lo : lo + self.max_chunk], faults, kw, trace=trace
+                )
+                for lo in range(0, len(pairs), self.max_chunk)
             )
         )
-        return [ans for chunk_answers in answers for ans in chunk_answers]
+        return [item for items in chunks for item in items]
 
     def _validate(self, gen: _Generation, pairs, faults) -> None:
         if gen.n is not None:
@@ -608,20 +606,17 @@ class LabelServer:
                     f"answer {frame.type.name} queries"
                 )
             self._validate(gen, pairs, faults)
-            kw = {} if want_path is None else {"want_path": want_path}
+            kw = {"want_path": want_path} if gen.kind == "sketch" else {}
             self.stats.queries += len(pairs)
             self.obs.counter("server.queries_total").inc(len(pairs))
-            answers = await self._query_via_service(
+            items = await self._query_via_service(
                 gen, pairs, faults, kw, trace=trace
             )
             if frame.type is FrameType.CONNECTIVITY:
-                wire = [
-                    sk_result_to_wire(a) if isinstance(a, SkDecodeResult)
-                    else bool(a)
-                    for a in answers
-                ]
-                return FrameType.CONNECTIVITY_REPLY, wire
-            return FrameType.DISTANCE_REPLY, [float(a) for a in answers]
+                reply = FrameType.CONNECTIVITY_REPLY
+            else:
+                reply = FrameType.DISTANCE_REPLY
+            return reply, EncodedItems(items)
         if frame.type is FrameType.ROUTE:
             payload = frame.payload
             if not isinstance(payload, (list, tuple)) or len(payload) != 2:

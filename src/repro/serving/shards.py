@@ -19,10 +19,13 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   thread and no shared queue.  Blocking callers (:meth:`query_many`,
   :meth:`stats`) read the pipes in their own thread; once
   :meth:`bind_loop` hands them to an asyncio loop, the loop reads them
-  (``loop.add_reader``) and :meth:`start_chunk` resolves futures on it.
+  (``loop.add_reader``) and :meth:`start_chunk` resolves futures on it,
+  with the chunk's answers already encoded as reply items when the
+  caller passes an answer writer of :mod:`repro.server.protocol`.
   A worker that dies shows up as EOF on its pipe: the chunks in flight
   on that shard fail with :class:`ShardLostError` at once and the
-  worker is respawned;
+  worker is respawned; one that hangs past ``chunk_timeout`` is killed
+  and replaced the same way;
 * routes every coalesced chunk by the **hash of its canonical fault
   set**, so all queries about one failure state land on the same
   worker and hit that worker's
@@ -90,20 +93,24 @@ class ShardLostError(RuntimeError):
     """A shard worker died or stopped answering with a message in flight."""
 
 
-def _serve_chunk(cache: PartitionCache, pairs, faults, kw):
+def _serve_chunk(cache: PartitionCache, pairs, faults, kw, writer=None):
     """Serve one chunk off the worker's partition cache.
 
-    Returns ``(answers, meta)`` — ``meta`` carries the worker-side
-    timing and pid back to the parent so per-request traces can show a
-    ``partition`` span without touching the answer objects (the
-    answers themselves stay bit-identical to a direct ``query_many``).
+    Returns ``(answers, meta)``.  With a ``writer`` (one of the answer
+    writers of :mod:`repro.server.protocol`) the answers go back as the
+    encoded reply items it makes, so the parent only splices bytes;
+    without one they are the native answers, bit-identical to a direct
+    ``query_many``.  ``meta`` carries the worker-side timing and pid
+    back to the parent so per-request traces can show a ``partition``
+    span; ``worker_s`` times the partition answer alone, encoding
+    excluded.
     """
     t0 = time.perf_counter()
     answers = cache.query_many(pairs, faults, **kw)
-    return answers, {
-        "worker_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
+    worker_s = time.perf_counter() - t0
+    if writer is not None:
+        answers = writer(answers)
+    return answers, {"worker_s": worker_s, "pid": os.getpid()}
 
 
 def _cache_stats(cache: PartitionCache) -> tuple:
@@ -358,12 +365,13 @@ class ShardedQueryService:
         size; ``clock`` is injectable for deterministic tests.
 
         ``chunk_timeout`` (seconds) bounds how long :meth:`query_many`
-        waits for any single chunk result; a worker that takes longer
-        (e.g. it hangs) is killed and respawned, and a
-        :class:`ShardLostError` surfaces to the caller — later chunks
-        go to the fresh worker.  A worker that *dies* is noticed at
-        once, by EOF on its pipe.  The network server runs with a short
-        timeout; the in-process benches keep the 600 s default.
+        and :meth:`start_chunk` wait for any single chunk result; a
+        worker that takes longer (e.g. it hangs) is killed and
+        respawned, and a :class:`ShardLostError` surfaces to the caller
+        — later chunks go to the fresh worker.  A worker that *dies* is
+        noticed at once, by EOF on its pipe.  The network server runs
+        with a short timeout; the in-process benches keep the 600 s
+        default.
 
         ``snapshot`` names a :mod:`repro.store` snapshot file of the
         scheme: workers then *open the snapshot themselves* instead of
@@ -618,7 +626,9 @@ class ShardedQueryService:
                 w.jobs.pop()
             self._replace(w, "lost its worker")
 
-    def _chunk_post(self, shard: int, pairs, faults, kw, done: Callable) -> tuple:
+    def _chunk_post(
+        self, shard: int, pairs, faults, kw, done: Callable, writer=None
+    ) -> tuple:
         """The ``(shard, msg, job)`` post of one chunk: its worker time
         feeds the ``shard.worker_seconds`` histogram, then the reply goes
         to ``done(ok, (answers, meta) or error)``."""
@@ -630,7 +640,7 @@ class ShardedQueryService:
                 )
             done(ok, payload)
 
-        return shard, ("chunk", (pairs, faults, kw)), job
+        return shard, ("chunk", (pairs, faults, kw, writer)), job
 
     def _call_sync(self, posts: Sequence[tuple]) -> None:
         """Run ``(shard, msg, job)`` posts to completion in this thread.
@@ -799,6 +809,7 @@ class ShardedQueryService:
         pairs: Sequence[tuple[int, int]],
         faults: Sequence[int],
         kw: Optional[dict] = None,
+        writer: Optional[Callable] = None,
     ):
         """Dispatch ONE already-coalesced chunk from the bound loop.
 
@@ -810,11 +821,16 @@ class ShardedQueryService:
         ``(shard, future)``: the future resolves on the loop to
         ``(answers, meta)`` (``meta`` is the worker-side timing dict of
         :func:`_serve_chunk` — the ``partition`` span of a request
-        trace), or fails with :class:`ShardLostError` as soon as the
-        worker's death is read.  A worker that hangs never answers, so
-        callers pair this with their own deadline and report the loss
-        via :meth:`restart_shard` (with the :meth:`shard_epoch` read at
-        dispatch time).
+        trace).  ``writer`` is an answer writer of
+        :mod:`repro.server.protocol`: the worker runs it, so
+        ``answers`` are encoded reply items, one ``bytes`` per pair
+        (native answers without one).
+
+        The service bounds the chunk itself: the future fails with
+        :class:`ShardLostError` as soon as the worker's death is read,
+        and a worker that has not answered within ``chunk_timeout`` is
+        killed and respawned (:meth:`restart_shard`), which fails it the
+        same way — one loop timer per chunk, cancelled by the reply.
         """
         if self._loop is None:
             raise RuntimeError("start_chunk needs worker shards and bind_loop()")
@@ -824,11 +840,25 @@ class ShardedQueryService:
         self._count_chunk(shard, len(pairs))
         self._tally.queries += len(pairs)
         future = self._loop.create_future()
+        timer = None
+
+        def done(ok, payload):
+            if timer is not None:
+                timer.cancel()
+            _settle(future, ok, payload)
+
         self._post(
-            *self._chunk_post(
-                shard, pairs, list(key), kw or {}, partial(_settle, future)
-            )
+            *self._chunk_post(shard, pairs, list(key), kw or {}, done, writer)
         )
+        if not future.done():
+            # The epoch is read after the post, which may have replaced
+            # a dead worker: the timer is about the one holding the job.
+            timer = self._loop.call_later(
+                self.chunk_timeout,
+                self.restart_shard,
+                shard,
+                self._workers[shard].epoch,
+            )
         return shard, future
 
     def worker_pids(self) -> list[int]:

@@ -14,8 +14,11 @@ one spawn-mode shard worker mid-load, with chunks in flight on it,
 
 Killing a worker while it is idle costs no request anything: the
 server respawns it at once, and the next chunk for that shard is
-answered well inside the chunk timeout.  A reload to a missing or
-corrupt snapshot fails without burning a generation version.
+answered well inside the chunk timeout.  A request deadline shorter
+than the chunk timeout answers a stopped shard's request with one
+``DEADLINE`` frame and leaves the worker alone, so once it resumes the
+same request is answered again.  A reload to a missing or corrupt
+snapshot fails without burning a generation version.
 """
 
 from __future__ import annotations
@@ -240,6 +243,52 @@ def test_idle_worker_kill_heals_without_a_timeout(chaos_env):
         assert elapsed < 0.6 * CHUNK_TIMEOUT_S, f"answer took {elapsed:.2f}s"
         assert stats["server"]["errors"] == {}
         assert stats["service"]["pool_restarts"] == 1
+
+
+def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
+    graph, scheme, snap = chaos_env
+    rnd = random.Random(59)
+    F0 = _fault_set_on_shard(graph, 0, 2, rnd)
+    pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(16)]
+    expected = scheme.query_many(pairs, F0)
+
+    with ServerThread(
+        snapshot=snap,
+        num_shards=2,
+        deadline_s=1.0,
+        chunk_timeout=60.0,
+        hot_key_share=None,
+    ) as harness:
+        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+            # a spawn worker may take longer than the deadline to start:
+            # warm shard 0 up first
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    assert client.connectivity(pairs, F0) == expected
+                    break
+                except ServerError as exc:
+                    assert exc.code == ErrorCode.DEADLINE
+                    assert time.monotonic() < deadline, "shard 0 never answered"
+            before = client.stats()["server"]["errors"].get("DEADLINE", 0)
+            victim = harness.server.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                t0 = time.monotonic()
+                with pytest.raises(ServerError) as excinfo:
+                    client.connectivity(pairs, F0)
+                elapsed = time.monotonic() - t0
+            finally:
+                os.kill(victim, signal.SIGCONT)
+            assert excinfo.value.code == ErrorCode.DEADLINE
+            assert elapsed < 10, f"DEADLINE took {elapsed:.2f}s"
+            # the stopped worker kept its request queue: it answers the
+            # abandoned chunk (dropped) and then this one
+            assert client.connectivity(pairs, F0) == expected
+            stats = client.stats()
+        assert stats["server"]["errors"] == {"DEADLINE": before + 1}
+        assert stats["service"]["pool_restarts"] == 0
+        assert harness.server.worker_pids()[0] == victim
 
 
 def test_failed_reload_keeps_the_version(chaos_env, tmp_path):

@@ -5,7 +5,10 @@ wire — connectivity (succinct paths included), distance estimates,
 route results (trace + full telemetry) — compares equal (``==``) to
 the in-process ``query_many`` / ``route_many`` answer, across the five
 generator families, for both a fresh-built backend object and a
-snapshot-restored one.
+snapshot-restored one, served in process and by spawn shard workers
+(whose answers cross a pipe as encoded reply items).  The verdict-only
+connectivity backends (forest, cycle-space, the facade) are held to
+the same bar.
 
 Plus the hot-reload contract: publishing a new snapshot under a live
 client stream loses zero requests, flips answers atomically at the
@@ -20,7 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.api import FaultTolerantDistance
+from repro.core.api import FaultTolerantConnectivity, FaultTolerantDistance
+from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
+from repro.core.forest_scheme import ForestConnectivityScheme
 from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.routing.fault_tolerant import FaultTolerantRouter
@@ -50,6 +55,12 @@ def _graph(name):
     return _GRAPHS[name]
 
 
+def _servings(obj, snap):
+    """The object and its restored snapshot in process, then the
+    snapshot behind two spawn shard workers."""
+    return ({"backend": obj}, {"snapshot": snap}, {"snapshot": snap, "num_shards": 2})
+
+
 def _stream(graph, count, seed):
     rnd = random.Random(seed)
     pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(count)]
@@ -69,8 +80,9 @@ def test_connectivity_bit_identical_object_and_snapshot(family, tmp_path):
     snap = str(tmp_path / "scheme.snap")
     save_snapshot(snap, scheme)
 
-    # Fresh-built backend object, then the snapshot restored from disk.
-    for backend_kw in ({"backend": scheme}, {"snapshot": snap}):
+    # Fresh-built backend object, then the snapshot restored from disk,
+    # in process and behind shard workers.
+    for backend_kw in _servings(scheme, snap):
         with ServerThread(
             backend_kw.pop("backend", None), **backend_kw
         ) as harness:
@@ -97,13 +109,56 @@ def test_distance_bit_identical_object_and_snapshot(family, tmp_path):
     snap = str(tmp_path / "dist.snap")
     save_snapshot(snap, dist)
 
-    for backend_kw in ({"backend": dist}, {"snapshot": snap}):
+    for backend_kw in _servings(dist, snap):
         with ServerThread(
             backend_kw.pop("backend", None), **backend_kw
         ) as harness:
             with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
                 got = client.distance(pairs, faults)
                 assert got == expected  # float bits survive the wire
+
+
+#: connectivity backends whose answers are bare verdicts (no paths)
+VERDICT_BACKENDS = [
+    ("forest", lambda: ForestConnectivityScheme(generators.random_tree(72, seed=24))),
+    ("cycle_space", lambda: CycleSpaceConnectivityScheme(_graph("random"), 3, seed=37)),
+    (
+        "facade",
+        lambda: FaultTolerantConnectivity(_graph("random"), f=3, scheme="sketch", seed=38),
+    ),
+]
+
+
+@pytest.mark.network
+@pytest.mark.parametrize("name", [b[0] for b in VERDICT_BACKENDS])
+def test_verdict_backends_bit_identical(name, tmp_path):
+    """Forest, cycle-space and facade artifacts answer CONNECTIVITY
+    frames — ``want_path`` is only asked of the sketch scheme — in
+    process, behind fork workers and behind spawn workers."""
+    obj = dict(VERDICT_BACKENDS)[name]()
+    pairs, faults = _stream(obj.graph, 16, seed=39)
+    expected = obj.query_many(pairs, faults)
+
+    snap = str(tmp_path / f"{name}.snap")
+    save_snapshot(snap, obj)
+
+    for backend_kw in (
+        {"backend": obj},
+        {"backend": obj, "num_shards": 2},
+        {"snapshot": snap, "num_shards": 2},
+    ):
+        with ServerThread(
+            backend_kw.pop("backend", None), **backend_kw
+        ) as harness:
+            with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+                assert client.connectivity(pairs, faults) == expected
+                bare = client.connectivity(pairs, faults, want_path=False)
+                assert bare == expected
+                singles = [
+                    client.connectivity([p], faults)[0] for p in pairs[:4]
+                ]
+                assert singles == expected[:4]
+                assert all(isinstance(a, bool) for a in bare + singles)
 
 
 @pytest.mark.network

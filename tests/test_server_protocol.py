@@ -10,6 +10,10 @@ The contract under test (see ``repro/server/protocol.py``):
   length, unknown type, malformed value trees) raise
   :class:`ProtocolError` — never any other exception — and poison the
   decoder;
+* the answer writers' encoded items equal ``encode_value`` of each
+  answer's wire value, and a reply spliced from them is byte-identical
+  to the frame of the value list, traced or not — the v1 bytes a
+  client sees do not depend on where the reply was encoded;
 * a live server answers garbage with one ``ERROR`` frame and a clean
   connection close, never a traceback or a hung reader, and keeps
   serving subsequent connections.
@@ -18,14 +22,19 @@ The contract under test (see ``repro/server/protocol.py``):
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import socket
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sketch_scheme import SketchConnectivityScheme
+from repro.core.path_description import PathSegment, SuccinctPath
+from repro.core.sketch_scheme import SketchConnectivityScheme, SkDecodeResult
 from repro.graph import generators
 from repro.server import QueryClient
 from repro.server.protocol import (
@@ -33,6 +42,7 @@ from repro.server.protocol import (
     MAGIC,
     MAX_PAYLOAD,
     PROTOCOL_VERSION,
+    EncodedItems,
     ErrorCode,
     FrameDecoder,
     FrameType,
@@ -40,6 +50,10 @@ from repro.server.protocol import (
     decode_value,
     encode_frame,
     encode_value,
+    sk_result_to_wire,
+    write_bools,
+    write_floats,
+    write_sk_results,
 )
 from tests.server_util import ServerThread
 
@@ -66,6 +80,52 @@ _values = st.recursive(
 
 _frame_types = st.sampled_from(list(FrameType))
 _request_ids = st.integers(min_value=0, max_value=2**64 - 1)
+_trace_ids = st.one_of(st.none(), st.integers(min_value=1, max_value=2**64 - 1))
+
+_opt_ints = st.one_of(st.none(), st.integers(min_value=-(2**70), max_value=2**70))
+_segments = st.builds(
+    PathSegment,
+    kind=st.one_of(st.sampled_from(["tree", "edge"]), st.text(max_size=12)),
+    x=st.integers(min_value=0, max_value=2**40),
+    y=st.integers(min_value=0, max_value=2**40),
+    port_x=_opt_ints,
+    port_y=_opt_ints,
+    # routing-mode tree labels are big ints, well past 64 bits
+    tlabel_x=st.one_of(st.none(), st.integers(min_value=0, max_value=2**130)),
+    tlabel_y=st.one_of(st.none(), st.integers(min_value=0, max_value=2**130)),
+    eid=st.one_of(st.none(), st.integers(min_value=0, max_value=2**90)),
+)
+_paths = st.one_of(
+    st.none(),
+    st.builds(
+        SuccinctPath,
+        s=st.integers(min_value=0, max_value=2**40),
+        t=st.integers(min_value=0, max_value=2**40),
+        segments=st.lists(_segments, max_size=5).map(tuple),
+    ),
+)
+_sk_results = st.builds(
+    SkDecodeResult,
+    connected=st.booleans(),
+    path=_paths,
+    phases_used=st.integers(min_value=0, max_value=400),
+)
+
+
+def _nan_with_payload(sign: bool, mantissa: int) -> float:
+    bits = (int(sign) << 63) | (0x7FF << 52) | mantissa
+    return struct.unpack("!d", struct.pack("!Q", bits))[0]
+
+
+_distances = st.one_of(
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 0.0]),
+    st.builds(
+        _nan_with_payload,
+        st.booleans(),
+        st.integers(min_value=1, max_value=2**52 - 1),
+    ),
+)
 
 
 def _drain(decoder: FrameDecoder):
@@ -105,6 +165,82 @@ def test_no_trailing_bytes_accepted(value):
     raw = encode_value(value)
     with pytest.raises(ProtocolError):
         decode_value(raw + b"\x00")
+
+
+# ----------------------------------------------------------------------
+# Answer writers: encoded items splice into byte-identical v1 replies
+# ----------------------------------------------------------------------
+def _assert_spliced(reply_type, items, values, request_id, trace_id):
+    assert items == [encode_value(v) for v in values]
+    assert encode_frame(
+        reply_type, request_id, EncodedItems(items), trace_id=trace_id
+    ) == encode_frame(reply_type, request_id, values, trace_id=trace_id)
+
+
+@given(st.lists(_sk_results, max_size=6), _request_ids, _trace_ids)
+@settings(max_examples=150)
+def test_sk_writer_splices_byte_identical_replies(answers, request_id, trace_id):
+    _assert_spliced(
+        FrameType.CONNECTIVITY_REPLY,
+        write_sk_results(answers),
+        [sk_result_to_wire(a) for a in answers],
+        request_id,
+        trace_id,
+    )
+
+
+@given(st.lists(st.booleans(), max_size=12), _request_ids, _trace_ids)
+def test_bool_writer_splices_byte_identical_replies(answers, request_id, trace_id):
+    _assert_spliced(
+        FrameType.CONNECTIVITY_REPLY,
+        write_bools(answers),
+        [bool(a) for a in answers],
+        request_id,
+        trace_id,
+    )
+
+
+@given(st.lists(_distances, max_size=12), _request_ids, _trace_ids)
+def test_float_writer_splices_byte_identical_replies(answers, request_id, trace_id):
+    # bytes, not floats, are compared: NaN payloads, infinities and the
+    # sign of zero must survive exactly
+    _assert_spliced(
+        FrameType.DISTANCE_REPLY,
+        write_floats(answers),
+        [float(a) for a in answers],
+        request_id,
+        trace_id,
+    )
+
+
+def test_writers_accept_numpy_answers():
+    import numpy as np
+
+    assert write_bools(np.array([True, False])) == [b"T", b"F"]
+    assert write_floats(np.array([1.5, -0.0])) == [
+        encode_value(1.5),
+        encode_value(-0.0),
+    ]
+
+
+def test_a_writer_loads_the_protocol_alone():
+    """Shard workers unpickle a writer on their first chunk, inside the
+    server's cold start: that must not load the server or the clients."""
+    code = (
+        "import pickle, sys\n"
+        "from repro.serving import shards\n"
+        "pickle.loads(sys.stdin.buffer.read())\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.server')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(write_sk_results),
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    loaded = proc.stdout.decode().strip()
+    assert loaded == "['repro.server', 'repro.server.protocol']"
 
 
 # ----------------------------------------------------------------------

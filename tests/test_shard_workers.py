@@ -14,7 +14,10 @@ side through the socket server):
 * a worker's exception reaches the caller and the worker keeps serving;
 * ``close()`` is bounded even when workers ignore SIGTERM;
 * a loop-bound service never blocks its loop on a worker that stopped
-  reading.
+  reading, and bounds every chunk it starts with its own timer: a
+  stopped worker costs that chunk a ``ShardLostError`` after
+  ``chunk_timeout`` with nothing timed on the caller's side, and a
+  chunk that fails while being posted leaves no timer behind.
 """
 
 from __future__ import annotations
@@ -200,3 +203,66 @@ def test_a_stopped_worker_never_blocks_the_loop(scheme):
         assert answers == scheme.query_many(pairs, F0)
         _wait_dead(victim)
         assert victim not in svc.worker_pids()
+
+
+def test_bound_loop_times_out_a_stopped_worker_itself(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme)
+    with ShardedQueryService(
+        scheme, num_shards=2, hot_key_share=None, chunk_timeout=0.5
+    ) as svc:
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            svc.bind_loop(loop)
+            victim = svc.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            t0 = loop.time()
+            _shard, future = svc.start_chunk(pairs, F0)
+            # asyncio.wait only stops looking after 5 s; it neither
+            # cancels the future nor restarts anything
+            await asyncio.wait({future}, timeout=5)
+            elapsed = loop.time() - t0
+            assert future.done(), "the service never timed the chunk out"
+            assert isinstance(future.exception(), ShardLostError)
+            assert elapsed < 5
+            assert victim not in svc.worker_pids()
+            _shard, fresh = svc.start_chunk(pairs, F0)
+            answers, _meta = await asyncio.wait_for(fresh, 60)
+            stats, _registry = await svc.astats_bundle()
+            return victim, answers, stats
+
+        victim, answers, stats = asyncio.run(drive())
+        _wait_dead(victim)
+        assert answers == scheme.query_many(pairs, F0)
+        assert stats.pool_restarts == 1
+
+
+def test_a_chunk_whose_post_fails_leaves_no_timer(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            svc.bind_loop(loop)
+            timers = []
+            call_later = loop.call_later
+
+            def counted(*args):
+                timers.append(call_later(*args))
+                return timers[-1]
+
+            loop.call_later = counted
+            svc._send = lambda w, data: False  # every worker is gone
+            _shard, lost = svc.start_chunk(pairs, F0)
+            assert lost.done() and isinstance(lost.exception(), ShardLostError)
+            assert timers == []
+            del svc._send
+            _shard, future = svc.start_chunk(pairs, F0)
+            assert len(timers) == 1
+            answers, _meta = await future
+            assert timers[0].cancelled()  # the reply cancelled it
+            return answers
+
+        assert asyncio.run(drive()) == scheme.query_many(pairs, F0)
