@@ -9,14 +9,17 @@ they last).  For every workload it measures, verdict-checked:
 
 * ``cold_qps`` — queries/second of plain ``query_many`` (the PR-2
   batched decoder runs one Boruvka simulation per hard query);
-* ``first_pass_qps`` — the partition cache fed by the request
-  coalescer, starting empty: each distinct fault set is decoded once,
-  everything else is a locate + union-find lookup;
-* ``warm_qps`` — the same stream again on the now-warm cache (pure
-  hits: the steady state of a live serving process);
+* ``first_pass_qps`` — an in-process ``ShardedQueryService``
+  (``num_shards=0``) starting with an empty cache: its ``query_many``
+  groups the stream by fault set and chunks it at :data:`CHUNK`, each
+  distinct fault set is decoded once, everything else is a locate +
+  union-find lookup;
+* ``warm_qps`` — the same stream on a partition cache already filled
+  by one untimed pass (pure hits: the steady state of a live serving
+  process);
 * ``speedup`` — ``warm_qps / cold_qps``, the headline (the acceptance
   bar for the serving layer is >= 3x on ``random-1024``);
-* the cache hit rate and coalescer chunk shape for the first pass.
+* the service's cache hit rate and chunk shape for the first pass.
 
 Usage::
 
@@ -45,7 +48,7 @@ import numpy as np
 
 from benchmarks.common import print_table, workload_graph
 from repro.core.sketch_scheme import SketchConnectivityScheme
-from repro.serving import PartitionCache, QueryCoalescer
+from repro.serving import PartitionCache, ShardedQueryService
 
 #: repo-root location of the committed baseline.
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
@@ -65,8 +68,8 @@ WORKLOADS = [
 #: independent: both sides are measured in the same run).
 REGRESSION_FACTOR = 2.0
 
-#: coalescer chunk bound used by every measurement (a few chunks per
-#: fault set, so the first pass already shows cache reuse).
+#: the first pass's ``max_chunk`` (a few chunks per fault set, so the
+#: first pass already shows cache reuse).
 CHUNK = 64
 
 
@@ -118,20 +121,22 @@ def measure_workload(
         cold = scheme.query_many(pairs, per, want_path=False)
         best_cold = min(best_cold, time.perf_counter() - t0)
 
-    # First pass: empty cache behind the coalescer (misses included).
-    cache = PartitionCache(scheme, capacity=fault_sets + 1)
-    coalescer = QueryCoalescer(
-        lambda p, F: cache.query_many(p, F, want_path=False), max_chunk=CHUNK
-    )
-    gc.collect()
-    t0 = time.perf_counter()
-    first = coalescer.run(stream)
-    first_s = time.perf_counter() - t0
+    # First pass: a fresh service, empty cache (misses included).
+    with ShardedQueryService(
+        scheme, num_shards=0, cache_capacity=fault_sets + 1, max_chunk=CHUNK
+    ) as service:
+        gc.collect()
+        t0 = time.perf_counter()
+        first = service.query_many(pairs, per, want_path=False)
+        first_s = time.perf_counter() - t0
+        first_stats = service.stats()
     if [r.connected for r in first] != [r.connected for r in cold]:
         raise AssertionError("coalesced verdicts diverge")  # pragma: no cover
-    first_hit_rate = cache.stats.hit_rate
 
-    # Warm passes: the steady serving state (every partition cached).
+    # Warm passes: the steady serving state, on a bare cache filled by
+    # one untimed pass (every partition cached).
+    cache = PartitionCache(scheme, capacity=fault_sets + 1)
+    cache.query_many(pairs, per, want_path=False)
     best_warm = float("inf")
     for _ in range(repeats):
         gc.collect()
@@ -157,9 +162,9 @@ def measure_workload(
         "first_pass_qps": round(count / first_s, 1),
         "warm_qps": round(count / best_warm, 1),
         "warm_us_per_query": round(best_warm / count * 1e6, 2),
-        "first_pass_hit_rate": round(first_hit_rate, 4),
-        "chunks": coalescer.stats.chunks,
-        "mean_chunk": round(coalescer.stats.mean_chunk, 1),
+        "first_pass_hit_rate": round(first_stats.cache_hit_rate, 4),
+        "chunks": first_stats.chunks,
+        "mean_chunk": round(first_stats.mean_chunk, 1),
         "speedup": round(best_cold / best_warm, 2) if best_warm > 0 else float("inf"),
         "first_pass_speedup": (
             round(best_cold / first_s, 2) if first_s > 0 else float("inf")

@@ -38,11 +38,7 @@ from repro.core.forest_scheme import ForestConnectivityScheme
 from repro.core.distance_labels import DistanceLabelScheme
 from repro.oracles import ConnectivityOracle, DistanceOracle
 from repro.scenarios import FaultScenario
-from repro.serving import (
-    PartitionCache,
-    QueryCoalescer,
-    ShardedQueryService,
-)
+from repro.serving import PartitionCache, ShardedQueryService
 
 __version__ = "1.0.0"
 
@@ -62,7 +58,6 @@ __all__ = [
     "DistanceOracle",
     "FaultScenario",
     "PartitionCache",
-    "QueryCoalescer",
     "ShardedQueryService",
     "__version__",
 ]

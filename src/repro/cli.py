@@ -18,10 +18,10 @@ Commands:
   (``--snapshot`` loads the router from a ``build`` snapshot instead of
   constructing it).
 * ``serve-bench`` — drive a repeated-fault-set query stream through the
-  serving layer (partition cache + coalescer, optionally sharded) and
-  print throughput vs the cold batched decoder (``--snapshot`` serves
-  off a ``build`` snapshot, cross-checked against in-process
-  construction).
+  serving layer (partition caches fed fault-set chunks, in process and
+  optionally sharded) and print throughput vs the cold batched decoder
+  (``--snapshot`` serves off a ``build`` snapshot, cross-checked
+  against in-process construction).
 * ``serve`` — the network serving tier: bind a TCP port and answer
   connectivity/distance/route queries over the length-prefixed binary
   protocol, fanning work out to shard workers that mmap one ``build``
@@ -395,12 +395,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     then times three ways of answering it:
 
     * cold ``query_many`` (per-query Boruvka decodes, the PR-2 engine);
-    * the partition cache fed through the request coalescer;
+    * an in-process service (``num_shards=0``): its ``query_many``
+      coalesces the stream into fault-set chunks of at most ``--chunk``
+      queries, each answered off one partition cache;
     * optionally (``--shards N``) the fork-based sharded service.
 
     Every path's verdicts are cross-checked before printing.
     """
-    from repro.serving import PartitionCache, QueryCoalescer, ShardedQueryService
+    from repro.serving import ShardedQueryService
 
     graph = _build_graph(args)
     if args.snapshot:
@@ -453,23 +455,24 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             return 1
         print("  snapshot answers match in-process construction (bit-identical)")
 
-    cache = PartitionCache(scheme, capacity=args.cache_capacity)
-    coalescer = QueryCoalescer(
-        lambda p, F: cache.query_many(p, F, want_path=False),
+    with ShardedQueryService(
+        scheme,
+        num_shards=0,
+        cache_capacity=args.cache_capacity,
         max_chunk=args.chunk,
-    )
-    t0 = time.perf_counter()
-    served = coalescer.run(stream)
-    warm_s = time.perf_counter() - t0
+    ) as local:
+        t0 = time.perf_counter()
+        served = local.query_many(pairs, per, want_path=False)
+        warm_s = time.perf_counter() - t0
+        stats = local.stats()
     if [r.connected for r in served] != verdicts:
         print("  ERROR: cached verdicts diverge from cold decode")
         return 1
-    stats = cache.stats
     print(
         f"  coalesced + cached   : {len(stream) / warm_s:10.0f} q/s  "
-        f"({cold_s / warm_s:.1f}x, hit rate {stats.hit_rate:.0%}, "
-        f"{coalescer.stats.chunks} chunks, "
-        f"mean {coalescer.stats.mean_chunk:.0f}/chunk)"
+        f"({cold_s / warm_s:.1f}x, hit rate {stats.cache_hit_rate:.0%}, "
+        f"{stats.chunks} chunks, "
+        f"mean {stats.mean_chunk:.0f}/chunk)"
     )
 
     if args.shards > 0:
@@ -731,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve-bench",
-        help="repeated-fault-set serving throughput (cache/coalescer/shards)",
+        help="repeated-fault-set serving throughput (cache/chunks/shards)",
     )
     common(p_serve)
     p_serve.add_argument("--queries", type=int, default=2000,
@@ -741,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--fault-size", type=int, default=4,
                          help="edges per fault set")
     p_serve.add_argument("--chunk", type=int, default=64,
-                         help="coalescer chunk size bound")
+                         help="queries per fault-set chunk (max_chunk)")
     p_serve.add_argument("--cache-capacity", type=int, default=128,
                          help="partition-cache LRU capacity")
     p_serve.add_argument("--shards", type=int, default=0,

@@ -6,21 +6,18 @@ Production query serving on top of the immutable packed label stores
 * :mod:`repro.serving.partition_cache` — canonical fault-set keys and
   an LRU of memoized ``decode_partition`` results, so all same-fault
   queries in a stream cost one decode;
-* :mod:`repro.serving.coalescer` — synchronous and asyncio request
-  coalescers that group single ``(s, t, F)`` queries into fault-set
-  chunks and dispatch them through ``query_many``;
+* :mod:`repro.serving.coalescer` — the asyncio request coalescer that
+  groups single ``(s, t, F)`` queries into fault-set chunks for the
+  network server;
 * :mod:`repro.serving.shards` — a process-pool service that shares
   the packed stores with every worker (fork copy-on-write, or
   spawn-safe workers that mmap a :mod:`repro.store` snapshot) and fans
-  chunks out by fault-set hash, with a :class:`ServiceStats` snapshot.
+  chunks out by fault-set hash, with a :class:`ServiceStats` snapshot;
+  its ``query_many`` groups, chunks and answers a whole stream in
+  request order (``num_shards=0`` runs it in process).
 """
 
-from repro.serving.coalescer import (
-    AsyncQueryCoalescer,
-    ChunkStats,
-    QueryCoalescer,
-    Ticket,
-)
+from repro.serving.coalescer import AsyncQueryCoalescer, ChunkStats
 from repro.serving.partition_cache import (
     CacheStats,
     PartitionCache,
@@ -34,10 +31,8 @@ __all__ = [
     "CacheStats",
     "ChunkStats",
     "PartitionCache",
-    "QueryCoalescer",
     "ServiceStats",
     "ShardedQueryService",
-    "Ticket",
     "canonical_fault_key",
     "presentation_fault_key",
     "shard_of",

@@ -2,64 +2,33 @@
 
 Interactive callers issue one query at a time, but the decode engine is
 at its best on batches sharing a fault set (one partition decode, many
-locates).  The coalescer bridges the two shapes:
+locates).  :class:`AsyncQueryCoalescer` bridges the two shapes for the
+asyncio server: ``await query(s, t, F)`` parks the caller on a future;
+a per-group timer (``max_delay`` seconds) or the ``max_chunk`` size
+bound triggers the dispatch, so concurrent tasks querying the same
+fault set are served by one batched decode.  Callers that already hold
+a whole stream skip the buffer: ``ShardedQueryService.query_many``
+groups it by canonical fault set and chunks it at ``max_chunk`` in one
+call.
 
-* :class:`QueryCoalescer` — synchronous: ``submit`` buffers a query
-  under its canonical fault key and returns a :class:`Ticket`; a group
-  is dispatched through the backend's ``query_many`` the moment it
-  reaches ``max_chunk`` queries, when it has been pending longer than
-  ``max_delay`` (checked on every submit), or on ``flush()``.
-* :class:`AsyncQueryCoalescer` — the asyncio front-end: ``await
-  query(s, t, F)`` parks the caller on a future; a per-group timer
-  (``max_delay`` seconds) or the ``max_chunk`` size bound triggers the
-  dispatch, so concurrent tasks querying the same fault set are served
-  by one batched decode.
-
-The backend is any ``callable(pairs, faults) -> answers`` with
-``query_many`` semantics — a scheme, a
-:class:`~repro.serving.partition_cache.PartitionCache`, or a
-:class:`~repro.serving.shards.ShardedQueryService`.  Dispatch order
-never changes answers (each chunk shares one canonical fault list), and
-every ticket/future receives exactly the answer the backend produced
-for its position — asserted by ``tests/test_serving.py``.
+The backend is a coroutine function ``async (pairs, faults) ->
+answers`` with ``query_many`` semantics.  Dispatch order never changes
+answers (each chunk shares one canonical fault list), and every future
+receives exactly the answer the backend produced for its position —
+asserted by ``tests/test_serving.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Awaitable, Callable, Iterable, Sequence
 
 from repro.serving.partition_cache import FaultKey, canonical_fault_key
 
-Backend = Callable[[Sequence[tuple[int, int]], list[int]], list]
-
-_PENDING = object()
-
-
-class Ticket:
-    """Handle for one submitted query; filled when its chunk dispatches."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self):
-        self._value = _PENDING
-
-    @property
-    def done(self) -> bool:
-        return self._value is not _PENDING
-
-    def result(self):
-        """The backend's answer; raises if the chunk was not dispatched
-        yet (call ``flush()`` on the coalescer first)."""
-        if self._value is _PENDING:
-            raise RuntimeError("query not dispatched yet — flush() the coalescer")
-        return self._value
-
-    def _fill(self, value) -> None:
-        self._value = value
+Backend = Callable[[Sequence[tuple[int, int]], list[int]], Awaitable[list]]
 
 
 @dataclass
@@ -94,92 +63,6 @@ class _Group:
     pairs: list = field(default_factory=list)
     tickets: list = field(default_factory=list)
     traces: list = field(default_factory=list)
-    born: float = 0.0
-
-
-class QueryCoalescer:
-    """Synchronous coalescer: buffer singles, dispatch fault-set chunks.
-
-    ``max_chunk`` bounds chunk size (a full group dispatches
-    immediately); ``max_delay`` (seconds, optional) bounds how long a
-    group may sit pending — it is checked against ``clock()`` on every
-    ``submit``, which is the natural beat of a synchronous ingest loop.
-    ``clock`` is injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        backend: Backend,
-        max_chunk: int = 512,
-        max_delay: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if max_chunk < 1:
-            raise ValueError("max_chunk must be >= 1")
-        self.backend = backend
-        self.max_chunk = max_chunk
-        self.max_delay = max_delay
-        self.clock = clock
-        self.stats = ChunkStats()
-        self._groups: "OrderedDict[FaultKey, _Group]" = OrderedDict()
-
-    @property
-    def pending(self) -> int:
-        """Number of buffered, not yet dispatched queries."""
-        return sum(len(g.pairs) for g in self._groups.values())
-
-    def submit(self, s: int, t: int, faults: Iterable[int] = ()) -> Ticket:
-        """Buffer one query; returns its :class:`Ticket`.
-
-        Dispatches the query's group when it reaches ``max_chunk``, and
-        any group older than ``max_delay``.
-        """
-        key = canonical_fault_key(faults)
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = _Group(born=self.clock())
-        ticket = Ticket()
-        group.pairs.append((s, t))
-        group.tickets.append(ticket)
-        if len(group.pairs) >= self.max_chunk:
-            del self._groups[key]
-            self._dispatch(key, group)
-        if self.max_delay is not None:
-            self._flush_expired()
-        return ticket
-
-    def flush(self) -> int:
-        """Dispatch every pending group; returns the query count served."""
-        served = 0
-        while self._groups:
-            key, group = self._groups.popitem(last=False)
-            served += len(group.pairs)
-            self._dispatch(key, group)
-        return served
-
-    def run(self, queries: Iterable[tuple[int, int, Iterable[int]]]) -> list:
-        """Convenience pipeline: submit all, flush, return answers in
-        submission order."""
-        tickets = [self.submit(s, t, F) for s, t, F in queries]
-        self.flush()
-        return [tk.result() for tk in tickets]
-
-    def _flush_expired(self) -> None:
-        now = self.clock()
-        while self._groups:
-            key, group = next(iter(self._groups.items()))
-            if now - group.born < self.max_delay:
-                break  # groups are in insertion order: the rest is younger
-            del self._groups[key]
-            self._dispatch(key, group)
-
-    def _dispatch(self, key: FaultKey, group: _Group) -> None:
-        answers = self.backend(group.pairs, list(key))
-        if len(answers) != len(group.tickets):  # pragma: no cover - tripwire
-            raise RuntimeError("backend returned a short answer batch")
-        self.stats.record(len(group.pairs))
-        for ticket, ans in zip(group.tickets, answers):
-            ticket._fill(ans)
 
 
 class AsyncQueryCoalescer:
@@ -189,11 +72,9 @@ class AsyncQueryCoalescer:
     ``loop.call_later(max_delay, ...)`` flush timer; hitting
     ``max_chunk`` dispatches immediately and cancels the timer.
 
-    The backend may be a plain callable (runs inline on the event loop
-    — partition-cache decodes are fast numpy work) **or** a coroutine
-    function; an async backend is awaited in its own dispatch task, so
-    slow fan-outs (the sharded server) never block the loop, and
-    :meth:`aclose` drains those tasks.
+    The backend is a coroutine function, awaited in its own dispatch
+    task per chunk, so slow fan-outs (the sharded server) never block
+    the loop; :meth:`aclose` drains those tasks.
 
     Cancellation is first-class: a waiter cancelled while its group is
     still pending (a disconnected client) is *scrubbed* from the group
@@ -213,8 +94,9 @@ class AsyncQueryCoalescer:
     ):
         if max_chunk < 1:
             raise ValueError("max_chunk must be >= 1")
+        if not inspect.iscoroutinefunction(backend):
+            raise TypeError("the backend must be a coroutine function")
         self.backend = backend
-        self._backend_is_async = asyncio.iscoroutinefunction(backend)
         self.max_chunk = max_chunk
         self.max_delay = max_delay
         self.stats = ChunkStats()
@@ -222,7 +104,7 @@ class AsyncQueryCoalescer:
         self.chunk_hist = chunk_hist
         self._groups: dict[FaultKey, _Group] = {}
         self._timers: dict[FaultKey, asyncio.TimerHandle] = {}
-        self._inflight: set = set()  # async-backend dispatch tasks
+        self._inflight: set = set()  # dispatch tasks
 
     @property
     def pending(self) -> int:
@@ -317,32 +199,18 @@ class AsyncQueryCoalescer:
                 future.set_result(ans)
         return True
 
-    @staticmethod
-    def _trace_coalesce(group: _Group, t_disp: float) -> None:
-        """``coalesce`` span (enqueue -> dispatch) for traced waiters."""
+    async def _dispatch(self, group: _Group, key: FaultKey) -> None:
+        """Await the backend for one group (own task: a cancelled waiter
+        never cancels the batch).
+
+        Traced waiters get a ``coalesce`` span (enqueue -> dispatch) and
+        a ``shard`` span (backend duration).
+        """
+        t_disp = time.perf_counter()
         for entry in group.traces:
             if entry is not None:
                 trace, t_enq = entry
                 trace.add_span("coalesce", t_enq, t_disp - t_enq)
-
-    @staticmethod
-    def _trace_shard(group: _Group, t_disp: float, dur: float) -> None:
-        """``shard`` span (backend duration) for traced waiters."""
-        for entry in group.traces:
-            if entry is not None:
-                entry[0].add_span("shard", t_disp, dur)
-
-    def _record(self, size: int) -> None:
-        self.stats.record(size)
-        if self.chunk_hist is not None:
-            self.chunk_hist.observe(size)
-
-    async def _dispatch_async(self, group: _Group, key: FaultKey) -> None:
-        """Await an async backend for one group (own task: a cancelled
-        waiter never cancels the batch)."""
-        t_disp = time.perf_counter()
-        if group.traces:
-            self._trace_coalesce(group, t_disp)
         try:
             answers = await self.backend(group.pairs, list(key))
         except asyncio.CancelledError:  # loop teardown: fail the waiters
@@ -352,9 +220,14 @@ class AsyncQueryCoalescer:
             self._settle(group, None, exc)
             return
         if group.traces:
-            self._trace_shard(group, t_disp, time.perf_counter() - t_disp)
+            dur = time.perf_counter() - t_disp
+            for entry in group.traces:
+                if entry is not None:
+                    entry[0].add_span("shard", t_disp, dur)
         if self._settle(group, answers, None):
-            self._record(len(group.pairs))
+            self.stats.record(len(group.pairs))
+            if self.chunk_hist is not None:
+                self.chunk_hist.observe(len(group.pairs))
 
     def _dispatch_key(self, key: FaultKey) -> None:
         group = self._groups.pop(key, None)
@@ -363,22 +236,6 @@ class AsyncQueryCoalescer:
             timer.cancel()
         if group is None or not group.pairs:
             return
-        if self._backend_is_async:
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch_async(group, key)
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-            return
-        t_disp = time.perf_counter()
-        if group.traces:
-            self._trace_coalesce(group, t_disp)
-        try:
-            answers = self.backend(group.pairs, list(key))
-        except Exception as exc:  # propagate to every waiter
-            self._settle(group, None, exc)
-            return
-        if group.traces:
-            self._trace_shard(group, t_disp, time.perf_counter() - t_disp)
-        if self._settle(group, answers, None):
-            self._record(len(group.pairs))
+        task = asyncio.get_running_loop().create_task(self._dispatch(group, key))
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)

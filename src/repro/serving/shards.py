@@ -35,14 +35,9 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   round-robin over *every* shard instead of pinning its hash owner —
   each worker's cache builds its own replica of the partition (cheap:
   one decode per worker) and the hot key stops serializing the fleet;
-* owns its own **deadline-based flushing**: :meth:`submit` buffers
-  single queries per fault set and dispatches a buffer when it reaches
-  ``max_chunk`` *or* has been pending longer than ``flush_delay``
-  seconds (checked on every submit and on :meth:`flush_due`), so a
-  service can be fed singles directly without an external coalescer;
-* aggregates a :class:`ServiceStats` snapshot: throughput, chunk
-  sizes, per-shard load, hot-key replication, and the workers'
-  combined cache hit rate.
+* aggregates a :class:`ServiceStats` snapshot: chunk sizes,
+  per-shard load, hot-key replication, and the workers' combined cache
+  hit rate.
 
 Answers are bit-identical to the single-process scheme (construction is
 finished before the fork, so every worker holds the same store;
@@ -58,7 +53,7 @@ import pickle
 import socket
 import struct
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing.connection import wait as wait_readable
@@ -66,7 +61,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core._batch import normalize_faults
 from repro.obs import MetricsRegistry
-from repro.serving.coalescer import Ticket
 from repro.serving.partition_cache import (
     FaultKey,
     PartitionCache,
@@ -243,7 +237,6 @@ class ServiceStats:
 
     queries: int = 0
     chunks: int = 0
-    busy_s: float = 0.0  # wall time spent inside query_many
     per_shard: tuple = ()
     cache_hits: int = 0
     cache_misses: int = 0
@@ -253,14 +246,9 @@ class ServiceStats:
     max_chunk_seen: int = 0
     hot_keys: int = 0
     replicated_chunks: int = 0
-    deadline_flushes: int = 0
     pool_restarts: int = 0  # shard workers respawned after a loss
     queue_depth: tuple = ()  # messages in flight per shard, at snapshot time
     per_shard_cache: tuple = ()  # one cache-counter dict per shard
-
-    @property
-    def qps(self) -> float:
-        return self.queries / self.busy_s if self.busy_s > 0 else 0.0
 
     @property
     def mean_chunk(self) -> float:
@@ -277,14 +265,11 @@ class ServiceStats:
             "mode": self.mode,
             "queries": self.queries,
             "chunks": self.chunks,
-            "busy_s": round(self.busy_s, 4),
-            "qps": round(self.qps, 1),
             "mean_chunk": round(self.mean_chunk, 1),
             "max_chunk": self.max_chunk_seen,
             "per_shard": list(self.per_shard),
             "hot_keys": self.hot_keys,
             "replicated_chunks": self.replicated_chunks,
-            "deadline_flushes": self.deadline_flushes,
             "pool_restarts": self.pool_restarts,
             "queue_depth": list(self.queue_depth),
             "per_shard_cache": list(self.per_shard_cache),
@@ -304,24 +289,10 @@ class _Tally:
 
     queries: int = 0
     chunks: int = 0
-    busy_s: float = 0.0
     max_chunk: int = 0
     per_shard: list = field(default_factory=list)
     replicated_chunks: int = 0
-    deadline_flushes: int = 0
     pool_restarts: int = 0
-
-
-@dataclass
-class _Buffer:
-    """Pending :meth:`ShardedQueryService.submit` queries of one
-    (canonical fault set, kw) group."""
-
-    faults: list
-    kw: dict
-    pairs: list = field(default_factory=list)
-    tickets: list = field(default_factory=list)
-    born: float = 0.0
 
 
 class ShardedQueryService:
@@ -349,8 +320,6 @@ class ShardedQueryService:
         mp_context: str = "fork",
         hot_key_share: Optional[float] = 0.5,
         hot_key_min_queries: int = 512,
-        flush_delay: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         snapshot: Optional[str] = None,
         chunk_timeout: float = _CHUNK_TIMEOUT,
         metrics: bool = True,
@@ -360,9 +329,6 @@ class ShardedQueryService:
         queries (and at least ``hot_key_min_queries`` queries were
         seen), its chunks rotate round-robin over every shard instead
         of going to the hash owner only (``None`` disables).
-        ``flush_delay`` (seconds) bounds how long a :meth:`submit`
-        buffer may sit pending before it is dispatched regardless of
-        size; ``clock`` is injectable for deterministic tests.
 
         ``chunk_timeout`` (seconds) bounds how long :meth:`query_many`
         and :meth:`start_chunk` wait for any single chunk result; a
@@ -394,13 +360,10 @@ class ShardedQueryService:
         self.hot_key_share = hot_key_share
         self.hot_key_min_queries = hot_key_min_queries
         self.chunk_timeout = chunk_timeout
-        self.flush_delay = flush_delay
-        self.clock = clock
         self._key_traffic: dict[FaultKey, int] = {}
         self._total_traffic = 0
         self._hot_keys: set[FaultKey] = set()
         self._rr = 0  # round-robin pointer for replicated keys
-        self._buffers: "OrderedDict[tuple, _Buffer]" = OrderedDict()
         self._tally = _Tally()
         #: parent-side metrics (chunk sizes, worker seconds, queue depth);
         #: worker registries are merged in by :meth:`registry_dump`.
@@ -546,7 +509,6 @@ class ShardedQueryService:
         self._workers[w.shard] = self._spawn(w.shard, w.epoch + 1)
         self._dead = _reap(self._dead + [w.proc], 0.0)
         self._tally.pool_restarts += 1
-        self.obs.counter("shard.pool_restarts").inc()
 
     def _read(self, w: _Worker) -> None:
         """Take one reply off ``w``'s pipe and hand it to its job.
@@ -763,7 +725,6 @@ class ShardedQueryService:
         A worker's exception (or :class:`ShardLostError`) is raised
         once every other chunk of the call has been answered.
         """
-        t0 = time.perf_counter()
         pairs = list(pairs)
         per = normalize_faults(pairs, faults)
         groups = group_by_canonical_key(per)
@@ -801,7 +762,6 @@ class ShardedQueryService:
         if errors:
             raise errors[0]
         self._tally.queries += len(pairs)
-        self._tally.busy_s += time.perf_counter() - t0
         return results
 
     def start_chunk(
@@ -896,71 +856,6 @@ class ShardedQueryService:
         return True
 
     # ------------------------------------------------------------------
-    # Buffered singles: size- and deadline-bounded flushing
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of buffered, not yet dispatched :meth:`submit` queries."""
-        return sum(len(b.pairs) for b in self._buffers.values())
-
-    def submit(self, s: int, t: int, faults: Iterable[int] = (), **kw) -> Ticket:
-        """Buffer one query; returns a :class:`Ticket`.
-
-        The query's buffer dispatches the moment it holds ``max_chunk``
-        queries; independently, every submit checks all buffers against
-        ``flush_delay`` (when set) so no query waits longer than the
-        deadline while traffic keeps arriving.  Call :meth:`flush` (or
-        :meth:`flush_due` from a timer loop) to drain the tail.
-        """
-        key = canonical_fault_key(faults)
-        bkey = (key, tuple(sorted(kw.items())))
-        buf = self._buffers.get(bkey)
-        if buf is None:
-            buf = self._buffers[bkey] = _Buffer(
-                faults=list(key), kw=kw, born=self.clock()
-            )
-        ticket = Ticket()
-        buf.pairs.append((s, t))
-        buf.tickets.append(ticket)
-        if len(buf.pairs) >= self.max_chunk:
-            del self._buffers[bkey]
-            self._dispatch_buffer(buf)
-        if self.flush_delay is not None:
-            self.flush_due()
-        return ticket
-
-    def flush_due(self, now: Optional[float] = None) -> int:
-        """Dispatch every buffer older than ``flush_delay``; returns the
-        query count served.  No-op when no deadline is configured."""
-        if self.flush_delay is None:
-            return 0
-        now = self.clock() if now is None else now
-        served = 0
-        for bkey in list(self._buffers):
-            buf = self._buffers[bkey]
-            if now - buf.born < self.flush_delay:
-                continue
-            del self._buffers[bkey]
-            served += len(buf.pairs)
-            self._tally.deadline_flushes += 1
-            self._dispatch_buffer(buf)
-        return served
-
-    def flush(self) -> int:
-        """Dispatch every pending buffer; returns the query count served."""
-        served = 0
-        while self._buffers:
-            _bkey, buf = self._buffers.popitem(last=False)
-            served += len(buf.pairs)
-            self._dispatch_buffer(buf)
-        return served
-
-    def _dispatch_buffer(self, buf: _Buffer) -> None:
-        answers = self.query_many(buf.pairs, buf.faults, **buf.kw)
-        for ticket, ans in zip(buf.tickets, answers):
-            ticket._fill(ans)
-
-    # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def _worker_sweep(self) -> list[tuple]:
@@ -1013,7 +908,6 @@ class ShardedQueryService:
         return ServiceStats(
             queries=t.queries,
             chunks=t.chunks,
-            busy_s=t.busy_s,
             per_shard=tuple(t.per_shard),
             cache_hits=hits,
             cache_misses=misses,
@@ -1023,7 +917,6 @@ class ShardedQueryService:
             max_chunk_seen=t.max_chunk,
             hot_keys=len(self._hot_keys),
             replicated_chunks=t.replicated_chunks,
-            deadline_flushes=t.deadline_flushes,
             pool_restarts=t.pool_restarts,
             queue_depth=tuple(self.queue_depths()),
             per_shard_cache=tuple(per_shard_cache),
@@ -1041,7 +934,6 @@ class ShardedQueryService:
         merged.counter("service.chunks").inc(t.chunks)
         merged.counter("service.pool_restarts").inc(t.pool_restarts)
         merged.counter("service.replicated_chunks").inc(t.replicated_chunks)
-        merged.counter("service.deadline_flushes").inc(t.deadline_flushes)
         merged.gauge("service.hot_keys").set(len(self._hot_keys))
         depths = self.queue_depths()
         for shard, (h, m, e, live, wire) in enumerate(sweep):
@@ -1081,7 +973,7 @@ class ShardedQueryService:
         return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
 
     def close(self) -> None:
-        """Flush pending submits, then stop every worker (idempotent).
+        """Stop every worker (idempotent).
 
         Closing the pipes is not enough: a forked worker inherits the
         other shards' pipe ends, so it may never read EOF.  Every worker
@@ -1090,8 +982,6 @@ class ShardedQueryService:
         (replaced ones included) reaped.  Messages still in flight fail
         with :class:`ShardLostError`.
         """
-        if self._buffers:
-            self.flush()
         if self._workers is None:
             return
         workers, self._workers = self._workers, None

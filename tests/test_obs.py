@@ -301,6 +301,11 @@ def test_stats_report_registry_dump(served_scheme):
     assert "server.request_seconds" in stats.histograms
     hist = stats.histogram("server.request_seconds")
     assert hist["count"] >= 1 and "buckets" in hist
+    assert set(stats["service"]) == {
+        "mode", "queries", "chunks", "mean_chunk", "max_chunk", "per_shard",
+        "hot_keys", "replicated_chunks", "pool_restarts", "queue_depth",
+        "per_shard_cache", "cache",
+    }
     per_shard = stats["service"]["per_shard_cache"]
     assert len(per_shard) == 2
     assert all({"hits", "misses", "hit_rate"} <= set(c) for c in per_shard)

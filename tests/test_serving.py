@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.oracles import ConnectivityOracle
 from repro.serving import (
     AsyncQueryCoalescer,
     PartitionCache,
-    QueryCoalescer,
     ShardedQueryService,
     canonical_fault_key,
 )
@@ -176,72 +176,20 @@ def test_cache_rejects_unsupported_backends():
 # ----------------------------------------------------------------------
 # Coalescer
 # ----------------------------------------------------------------------
-def test_coalescer_orders_and_bounds_chunks():
+def test_local_service_orders_and_bounds_chunks():
     graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
     scheme = SketchConnectivityScheme(graph, seed=5)
     pairs, per = _repeated_fault_stream(graph, 90, 4, 4, seed=23)
     cold = scheme.query_many(pairs, per)
-    dispatched = []
-
-    def backend(chunk_pairs, faults):
-        dispatched.append((list(chunk_pairs), tuple(faults)))
-        return scheme.query_many(chunk_pairs, faults)
-
-    co = QueryCoalescer(backend, max_chunk=7)
-    answers = co.run((s, t, F) for (s, t), F in zip(pairs, per))
-    # answers come back in submission order despite out-of-order dispatch
-    assert answers == cold
-    assert co.pending == 0
-    for chunk_pairs, faults in dispatched:
-        assert 1 <= len(chunk_pairs) <= 7
-        assert faults == canonical_fault_key(faults)  # canonical per chunk
-    # size bound reached => eager dispatch: 90 queries over 4 sets makes
-    # at least ceil(23/7) full chunks for the most common set
-    assert co.stats.chunks == len(dispatched)
-    assert co.stats.max_chunk == 7
-    assert co.stats.queries == 90
-
-
-def test_coalescer_chunk_boundary_is_exact():
-    graph = generators.random_connected_graph(32, extra_edges=40, seed=3)
-    scheme = SketchConnectivityScheme(graph, seed=1)
-    sizes = []
-    co = QueryCoalescer(
-        lambda p, F: (sizes.append(len(p)), scheme.query_many(p, F))[1],
-        max_chunk=5,
-    )
-    tickets = [co.submit(0, v % 31 + 1, [0]) for v in range(5)]
-    # exactly at the boundary: the 5th submit dispatched the chunk
-    assert sizes == [5]
-    assert all(t.done for t in tickets)
-    t6 = co.submit(0, 6, [0])
-    assert not t6.done and co.pending == 1
-    with pytest.raises(RuntimeError):
-        t6.result()
-    co.flush()
-    assert sizes == [5, 1]
-    assert t6.result() == scheme.query(0, 6, [0])
-
-
-def test_coalescer_deadline_with_fake_clock():
-    graph = generators.random_connected_graph(32, extra_edges=40, seed=3)
-    scheme = SketchConnectivityScheme(graph, seed=1)
-    now = [0.0]
-    co = QueryCoalescer(
-        lambda p, F: scheme.query_many(p, F),
-        max_chunk=100,
-        max_delay=1.0,
-        clock=lambda: now[0],
-    )
-    early = co.submit(0, 1, [0])
-    now[0] = 0.5
-    co.submit(0, 2, [1])
-    assert not early.done  # younger than the deadline
-    now[0] = 1.25
-    co.submit(0, 3, [2])  # sweeps the expired [0]-group out
-    assert early.done
-    assert early.result() == scheme.query(0, 1, [0])
-    assert co.pending == 2  # the [1] and [2] groups are still young
+    with ShardedQueryService(scheme, num_shards=0, max_chunk=7) as svc:
+        # answers come back in request order despite per-fault-set chunks
+        assert svc.query_many(pairs, per) == cold
+        stats = svc.stats()
+    # every fault set is cut into ceil(n_k / 7) chunks, none over 7
+    per_key = Counter(canonical_fault_key(F) for F in per)
+    assert stats.chunks == sum(-(-n // 7) for n in per_key.values())
+    assert stats.max_chunk_seen == 7
+    assert stats.queries == 90
 
 
 def test_async_coalescer_size_and_timer_paths():
@@ -251,9 +199,10 @@ def test_async_coalescer_size_and_timer_paths():
     cold = scheme.query_many(pairs, per)
 
     async def drive():
-        ac = AsyncQueryCoalescer(
-            scheme.query_many, max_chunk=8, max_delay=0.001
-        )
+        async def backend(chunk_pairs, faults):
+            return scheme.query_many(chunk_pairs, faults)
+
+        ac = AsyncQueryCoalescer(backend, max_chunk=8, max_delay=0.001)
         results = await asyncio.gather(
             *[ac.query(s, t, F) for (s, t), F in zip(pairs, per)]
         )
@@ -271,10 +220,15 @@ def test_async_coalescer_propagates_backend_errors():
             await ac.query(0, 1, [])
         await ac.aclose()
 
-    def _boom(pairs, faults):
+    async def _boom(pairs, faults):
         raise RuntimeError("backend down")
 
     asyncio.run(drive())
+
+
+def test_async_coalescer_rejects_sync_backends():
+    with pytest.raises(TypeError, match="coroutine function"):
+        AsyncQueryCoalescer(lambda pairs, faults: [])
 
 
 # Regression: a waiter cancelled while its group is still pending (a
@@ -287,7 +241,7 @@ def test_async_coalescer_propagates_backend_errors():
 def test_async_coalescer_cancelled_waiter_is_scrubbed_before_dispatch():
     seen_chunks = []
 
-    def backend(pairs, faults):
+    async def backend(pairs, faults):
         seen_chunks.append(list(pairs))
         return [(s, t, tuple(faults)) for s, t in pairs]
 
@@ -319,7 +273,7 @@ def test_async_coalescer_cancelled_waiter_is_scrubbed_before_dispatch():
 def test_async_coalescer_fully_cancelled_group_never_hits_backend():
     calls = []
 
-    def backend(pairs, faults):
+    async def backend(pairs, faults):
         calls.append(list(pairs))
         return [True for _ in pairs]
 
@@ -486,9 +440,8 @@ def test_cli_serve_bench(capsys):
 
 
 # ----------------------------------------------------------------------
-# PR-4 satellites: deadline flushing inside the service, hot-fault-set
-# replication, and the presentation-order cache mode the packed routing
-# engine's retry decodes depend on.
+# Hot-fault-set replication, and the presentation-order cache mode the
+# packed routing engine's retry decodes depend on.
 # ----------------------------------------------------------------------
 def test_presentation_key_cache_preserves_fault_order():
     from repro.serving import presentation_fault_key
@@ -516,51 +469,6 @@ def test_presentation_key_cache_preserves_fault_order():
     canon.query_many(pairs, list(faults))
     canon.query_many(pairs, list(shuffled))
     assert len(canon) == 1
-
-
-def test_service_deadline_flushing():
-    graph = generators.grid_graph(5, 5)
-    scheme = SketchConnectivityScheme(graph, seed=64)
-    fake = [0.0]
-    svc = ShardedQueryService(
-        scheme, num_shards=2, max_chunk=8, mp_context="none",
-        flush_delay=0.5, clock=lambda: fake[0],
-    )
-    try:
-        t1 = svc.submit(0, 24, [1], want_path=False)
-        t2 = svc.submit(3, 20, [1], want_path=False)
-        assert svc.pending == 2 and not t1.done
-        # Young buffers stay pending on further submits...
-        fake[0] = 0.2
-        t3 = svc.submit(4, 9, [2], want_path=False)
-        assert svc.pending == 3
-        # ...and flush once the deadline passes (checked on submit).
-        fake[0] = 0.8
-        t4 = svc.submit(6, 17, [3], want_path=False)
-        assert t1.done and t2.done and t3.done
-        direct = scheme.query_many([(0, 24)], [[1]], want_path=False)[0]
-        assert t1.result().connected == direct.connected
-        # the tail drains on flush()
-        assert not t4.done
-        svc.flush()
-        assert t4.done
-        assert svc.stats().deadline_flushes >= 2
-    finally:
-        svc.close()
-
-
-def test_service_size_bound_still_dispatches_immediately():
-    graph = generators.grid_graph(4, 4)
-    scheme = SketchConnectivityScheme(graph, seed=65)
-    svc = ShardedQueryService(scheme, num_shards=2, max_chunk=2,
-                              mp_context="none")
-    try:
-        t1 = svc.submit(0, 15, [1], want_path=False)
-        assert not t1.done
-        t2 = svc.submit(2, 13, [1], want_path=False)
-        assert t1.done and t2.done  # chunk size bound reached
-    finally:
-        svc.close()
 
 
 def test_hot_fault_set_replicates_across_shards():

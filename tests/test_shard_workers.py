@@ -229,13 +229,16 @@ def test_bound_loop_times_out_a_stopped_worker_itself(scheme):
             assert victim not in svc.worker_pids()
             _shard, fresh = svc.start_chunk(pairs, F0)
             answers, _meta = await asyncio.wait_for(fresh, 60)
-            stats, _registry = await svc.astats_bundle()
-            return victim, answers, stats
+            stats, registry = await svc.astats_bundle()
+            return victim, answers, stats, registry
 
-        victim, answers, stats = asyncio.run(drive())
+        victim, answers, stats, registry = asyncio.run(drive())
         _wait_dead(victim)
         assert answers == scheme.query_many(pairs, F0)
         assert stats.pool_restarts == 1
+        # the registry dump counts the restart once, under service.*
+        assert registry["counters"]["service.pool_restarts"] == 1
+        assert "shard.pool_restarts" not in registry["counters"]
 
 
 def test_a_chunk_whose_post_fails_leaves_no_timer(scheme):
