@@ -9,22 +9,40 @@ runner all agree on the convention.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
 
-def normalize_faults(pairs: Sequence, faults) -> list[list[int]]:
+def check_fault_ids(ids: Sequence[int], m: int) -> None:
+    """Raise ``ValueError`` if any edge id lies outside ``0..m-1``.
+
+    Decoders index per-edge lists with these ids, where a negative id
+    would silently wrap onto a real edge (``-1`` is edge ``m - 1``) and
+    an id ``>= m`` would raise a bare ``IndexError``.
+    """
+    if ids and (min(ids) < 0 or max(ids) >= m):
+        bad = next(ei for ei in ids if not 0 <= ei < m)
+        raise ValueError(f"fault edge id {bad} out of range for m={m}")
+
+
+def normalize_faults(
+    pairs: Sequence, faults, m: Optional[int] = None
+) -> list[list[int]]:
     """Per-pair fault lists for ``query_many(pairs, faults)``.
 
     ``faults`` is either a flat iterable of edge indices (shared by all
     pairs) or a sequence of per-pair iterables whose length matches
     ``pairs``.  The two cases are told apart by the first element's
-    type; an empty argument means no faults anywhere.
+    type; an empty argument means no faults anywhere.  With ``m`` given,
+    every id goes through :func:`check_fault_ids`.
     """
     flist = list(faults)
     if flist and isinstance(flist[0], (int, np.integer)):
         shared = [int(ei) for ei in flist]
+        if m is not None:
+            check_fault_ids(shared, m)
         return [shared] * len(pairs)
     if not flist:
         return [[]] * len(pairs)
@@ -32,4 +50,7 @@ def normalize_faults(pairs: Sequence, faults) -> list[list[int]]:
         raise ValueError(
             f"got {len(flist)} fault sets for {len(pairs)} query pairs"
         )
-    return [[int(ei) for ei in F] for F in flist]
+    per = [[int(ei) for ei in F] for F in flist]
+    if m is not None:
+        check_fault_ids(list(chain.from_iterable(per)), m)
+    return per

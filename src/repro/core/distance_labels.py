@@ -567,11 +567,10 @@ class DistanceLabelScheme:
                         port_fn=port_fn,
                         id_space=self.id_space,
                     )
-                    tr = tree_routing
                     aug = RoutingAugmentation(
                         port_bits=routing_port_bits(self.id_space),
-                        tlabel_bits=tr.encoded_label_bits(),
-                        tlabel_of=lambda lv, _tr=tr: _tr.encode_label(_tr.label(lv)),
+                        tlabel_bits=tree_routing.encoded_label_bits(),
+                        tlabel_of=tree_routing.encoded_label,
                     )
                 scheme = SketchConnectivityScheme(
                     sub.graph,

@@ -43,7 +43,7 @@ import numpy as np
 from repro._util import derive_seed
 from repro._util.build_pool import BuildPool, split_ranges
 from repro.obs import PhaseTimer
-from repro.core._batch import normalize_faults
+from repro.core._batch import check_fault_ids, normalize_faults
 from repro.core.component_tree import ComponentForest, orient_tree_edge
 from repro.core.path_description import PathSegment, SuccinctPath
 from repro.graph.ancestry import AncestryLabeling, AncLabel, stitched_intervals
@@ -151,7 +151,14 @@ class SkEdgeLabel:
 
 @dataclass(frozen=True)
 class SkDecodeResult:
-    """Decoder verdict plus the Lemma 3.17 succinct path when connected."""
+    """Decoder verdict plus the Lemma 3.17 succinct path when connected.
+
+    ``phases_used`` counts the Boruvka phases of the query's fault set:
+    every sketch unit read while more than one component is still live.
+    A tail of units in which no component can merge counts in full,
+    including a tail the batched decoder retires without reading it
+    phase by phase.  Trivial verdicts (no tree faults) use 0 phases.
+    """
 
     connected: bool
     path: Optional[SuccinctPath] = None
@@ -327,17 +334,24 @@ class _PathEndpoint(NamedTuple):
     tlabel: Optional[int]
 
 
+#: most uint64 words one :meth:`SketchConnectivityScheme._empty_tails`
+#: gather materializes (8 MiB) — a 10^4-query batch of bridge cuts can
+#: retire every task in its first phase.
+_TAIL_WORDS = 1 << 20
+
+
 def _mix_words(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """64-bit fingerprint per word row (odd-multiplier mix, wrapping).
+    """64-bit fingerprint per word row: ``sum(words[:, w] * consts[w])``
+    modulo 2^64 with odd multipliers, as one ``uint64`` matrix-vector
+    product.
 
     Used as a vectorized membership prefilter against the real-edge
     words; collisions are resolved by exact row comparison, so the mix
-    only affects speed, never answers.
+    only affects speed, never answers.  The fingerprints are derived in
+    ``_packed_store()`` and never persisted, so the mix is free to
+    change.
     """
-    mixed = words[:, 0] * consts[0]
-    for w in range(1, words.shape[1]):
-        mixed = mixed ^ (words[:, w] * consts[w])
-    return mixed
+    return words @ consts
 
 
 class _SplitForest:
@@ -1262,15 +1276,17 @@ class SketchConnectivityScheme:
         (:mod:`repro.serving.partition_cache`) memoizes.  Requires the
         vectorized engine — the packed store is the partition's
         substrate; the label-level sibling is
-        :meth:`decode_partition_labels`.
+        :meth:`decode_partition_labels`.  Ids outside ``0..m-1`` raise
+        ``ValueError``.
         """
+        faults = [int(ei) for ei in faults]
+        check_fault_ids(faults, self.graph.m)
         st = self._packed_store()
         comp_e, is_tree = st.comp_e, st.is_tree
         order: list[int] = []
         seen: set[int] = set()
         per_comp: dict[int, tuple[list[int], list[int]]] = {}
         for ei in faults:
-            ei = int(ei)
             if ei in seen:
                 continue
             seen.add(ei)
@@ -1415,7 +1431,8 @@ class SketchConnectivityScheme:
         query).  Answers are bit-identical to looping :meth:`query` —
         including succinct paths and phase counts — which the
         ``tests/test_query_many.py`` equivalence suite asserts against
-        both engines.
+        both engines.  Fault ids outside ``0..m-1`` raise ``ValueError``
+        on both engines.
 
         On the vectorized engine all queries of a chunk run through one
         batched Boruvka simulation: component sketches are assembled
@@ -1427,7 +1444,7 @@ class SketchConnectivityScheme:
         ``engine="reference"`` the seed decoder runs per query.
         """
         pairs = list(pairs)
-        per = normalize_faults(pairs, faults)
+        per = normalize_faults(pairs, faults, m=self.graph.m)
         if self._prefix is None:
             return [
                 self._decode_labels(
@@ -1682,12 +1699,14 @@ class SketchConnectivityScheme:
             ev_flat: list[int] = []
             ev_tgt: list[int] = []
             ext_meta: list[tuple[int, int]] = []  # (query, root) per extraction
+            task_lo: list[int] = []  # first extraction of each live task
             still: list[int] = []
             for h in alive:
                 roots = roots_of[h]
                 if len(roots) == 1:
                     continue
                 phases[h] += 1
+                task_lo.append(len(ext_meta))
                 qrows = grows[h]
                 qevs = gevs[h]
                 for r in roots:
@@ -1723,11 +1742,30 @@ class SketchConnectivityScheme:
                     np.bitwise_xor.at(flat[:, w], tgt, ev_words[evi, w])
             rev = cand[:, ::-1, :]
             np.bitwise_xor.accumulate(rev, axis=1, out=rev)
+            nz = (flat != 0).any(axis=1)
+            # Retire empty tails: when every live root of a task reads
+            # zero cells in this unit and in every later one, no later
+            # phase can merge, so the remaining units only add to
+            # ``phases``.  This unit's mask gates the look-ahead.
+            root_nz = nz.reshape(R, levels).any(axis=1)
+            if unit + 1 < units and not root_nz.all():
+                quiet = np.flatnonzero(
+                    ~np.logical_or.reduceat(root_nz, np.asarray(task_lo))
+                ).tolist()
+                if quiet:
+                    done = self._empty_tails(
+                        [alive[k] for k in quiet],
+                        roots_of, grows, gevs, prefix, ev_ml, ev_words, unit + 1,
+                    )
+                    if done:
+                        for h in done:
+                            phases[h] += units - unit - 1
+                        done_set = set(done)
+                        alive = [h for h in alive if h not in done_set]
             # Real-edge membership by fingerprint (exact-compare
             # confirmed); a hit is a valid single-edge EID without any
             # PRF work — successful extractions are exactly such rows.
             hit_ei = None
-            nz = (flat != 0).any(axis=1)
             if m_edges:
                 mixed = _mix_words(flat, mix_consts)
                 pos = np.searchsorted(mixed_sorted, mixed)
@@ -1741,32 +1779,19 @@ class SketchConnectivityScheme:
                 hit_ei = cand_ei
             else:  # pragma: no cover - hard queries imply edges
                 hit = np.zeros(R * levels, dtype=bool)
-            # Unknown nonzero words take the deduplicated PRF test of
-            # Lemma 3.10 (it is a pure function of the word value).
+            # Unknown nonzero words take the PRF test of Lemma 3.10,
+            # one evaluation per distinct endpoint pair.
             need = nz & ~hit
             prf_dec: dict[int, DecodedEid] = {}
             valid_flat = hit
             if need.any():
                 rows_nz = np.flatnonzero(need)
-                sub = flat[rows_nz]
-                if width == 1:
-                    _, uidx, u_inv = np.unique(
-                        sub[:, 0], return_index=True, return_inverse=True
-                    )
-                else:
-                    void = sub.view(np.dtype((np.void, width * 8))).ravel()
-                    _, uidx, u_inv = np.unique(
-                        void, return_index=True, return_inverse=True
-                    )
-                v2, d2 = eids.try_decode_words(sub[uidx])
-                ok = v2[u_inv]
-                if ok.any():
+                ok, dec = eids.try_decode_words(flat[rows_nz])
+                if dec:
                     valid_flat = hit.copy()
                     valid_flat[rows_nz] = ok
-                    for fr, k in zip(
-                        rows_nz[ok].tolist(), u_inv[ok].tolist()
-                    ):
-                        prf_dec[fr] = d2[k]
+                    for k, d in dec.items():
+                        prf_dec[int(rows_nz[k])] = d
             valid = valid_flat.reshape(R, levels)
             has = valid.any(axis=1)
             if not has.any():
@@ -1804,6 +1829,79 @@ class SketchConnectivityScheme:
                 merges[h].append((d, cu, cv))
 
         return [(forests[h], ufs[h], merges[h], phases[h]) for h in range(H)]
+
+    def _empty_tails(
+        self,
+        tasks: list[int],
+        roots_of: list[list[int]],
+        grows: list[list[list[int]]],
+        gevs: list[list[list[int]]],
+        prefix,
+        ev_ml: Optional[np.ndarray],
+        ev_words: Optional[np.ndarray],
+        lo: int,
+    ) -> list[int]:
+        """The tasks whose live roots read all-zero cells in every unit
+        from ``lo`` on.
+
+        Each root's exact cells over units ``lo..L-1`` are assembled
+        exactly as a Boruvka phase assembles one unit — the XOR of its
+        gathered prefix rows (a dense slice, or one
+        :meth:`RaggedPrefix.gather` per unit) with its cancelled fault
+        words scattered into their exact levels — and tested for zero.
+        (Exact cells are zero iff the cumulative cells are.)  Tasks are
+        checked in chunks of at most ``_TAIL_WORDS`` gathered words.
+        """
+        dims = self.context.dims
+        span = dims.units - lo
+        per_row = span * dims.levels * dims.words
+        empty: list[int] = []
+        start = 0
+        while start < len(tasks):
+            rows: list[int] = []
+            seg: list[int] = []
+            evs: list[int] = []
+            ev_tgt: list[int] = []
+            task_lo: list[int] = []
+            chunk: list[int] = []
+            for h in tasks[start:]:
+                if chunk and len(rows) * per_row > _TAIL_WORDS:
+                    break
+                chunk.append(h)
+                task_lo.append(len(seg))
+                for r in roots_of[h]:
+                    e = gevs[h][r]
+                    if e:
+                        evs += e
+                        ev_tgt += [len(seg)] * len(e)
+                    seg.append(len(rows))
+                    rows += grows[h][r]
+            start += len(chunk)
+            idx = np.asarray(rows, dtype=np.int64)
+            if isinstance(prefix, np.ndarray):
+                slab = prefix[idx, lo:]
+            else:
+                slab = np.stack(
+                    [prefix.gather(idx, u) for u in range(lo, dims.units)], axis=1
+                )
+            cells = np.bitwise_xor.reduceat(
+                slab, np.asarray(seg, dtype=np.int64), axis=0
+            )
+            if evs:
+                evi = np.asarray(evs, dtype=np.int64)
+                tgt = (
+                    (np.asarray(ev_tgt, dtype=np.int64)[:, None] * span)
+                    + np.arange(span, dtype=np.int64)
+                ) * dims.levels + ev_ml[evi, lo:]
+                flat = cells.reshape(-1, dims.words)
+                for w in range(dims.words):
+                    np.bitwise_xor.at(
+                        flat[:, w], tgt.ravel(), np.repeat(ev_words[evi, w], span)
+                    )
+            busy = cells.reshape(len(seg), -1).any(axis=1)
+            busy = np.logical_or.reduceat(busy, np.asarray(task_lo, dtype=np.int64))
+            empty += [h for h, b in zip(chunk, busy.tolist()) if not b]
+        return empty
 
     def _tlabel(self, v: int) -> Optional[int]:
         return self._routing.tlabel_of(v) if self._routing is not None else None
@@ -1846,10 +1944,13 @@ class SketchConnectivityScheme:
 
         Delegates to the batched engine with batch size 1 on the
         vectorized scheme; the reference scheme runs the seed decoder.
+        Fault ids outside ``0..m-1`` raise ``ValueError``.
         """
+        faults = [int(ei) for ei in faults]
+        check_fault_ids(faults, self.graph.m)
         if self._prefix is not None:
             return self._decode_batch(
-                [(int(s), int(t), list(faults))], copy=copy, want_path=True
+                [(int(s), int(t), faults)], copy=copy, want_path=True
             )[0]
         return self._decode_labels(
             self.vertex_label(s),

@@ -27,7 +27,8 @@ class ConnectivityOracle:
         """Batched ground truth for ``query_many``-style query streams.
 
         ``faults`` follows the batched-API convention (one shared
-        iterable of edge indices, or a per-pair sequence).  Queries are
+        iterable of edge indices, or a per-pair sequence); an id outside
+        ``0..m-1`` raises ``ValueError``.  Queries are
         grouped by fault set and answered off one component labeling of
         ``G \\ F`` per distinct set, so verifying a batch against the
         labels costs O(m) per fault set instead of per query.
@@ -35,7 +36,7 @@ class ConnectivityOracle:
         from repro.core._batch import normalize_faults
         from repro.graph.components import connected_components
 
-        per = normalize_faults(pairs, faults)
+        per = normalize_faults(pairs, faults, m=self.graph.m)
         out = [False] * len(pairs)
         groups: dict[frozenset, list[int]] = {}
         for qi, F in enumerate(per):
@@ -48,10 +49,18 @@ class ConnectivityOracle:
         return out
 
     def connected(self, s: int, t: int, faults: Iterable[int] = ()) -> bool:
-        """True iff ``s`` and ``t`` are connected in ``G \\ faults``."""
+        """True iff ``s`` and ``t`` are connected in ``G \\ faults``.
+
+        Like :meth:`connected_many`, rejects fault ids outside
+        ``0..m-1`` with ``ValueError``.
+        """
+        from repro.core._batch import check_fault_ids
+
+        ids = [int(ei) for ei in faults]
+        check_fault_ids(ids, self.graph.m)
         if s == t:
             return True
-        skip = set(faults)
+        skip = set(ids)
         seen = [False] * self.graph.n
         seen[s] = True
         queue = deque([s])

@@ -427,12 +427,16 @@ class ExtendedEdgeIds:
 
         Returns ``(valid, decoded)``: ``valid[i]`` iff row ``i`` is a
         single-edge EID (same test as :meth:`try_decode`), ``decoded``
-        holding a :class:`DecodedEid` for every valid row.  Field
-        slicing and the id-range prefilter run as array ops; only the
-        survivors pay a (batched) PRF evaluation, and only valid rows
-        materialize Python objects — that ratio is what makes the
-        batched Boruvka decoder fast.  Layouts with an oversized routing
-        tree-label field fall back to the per-row scalar path.
+        holding a :class:`DecodedEid` for every valid row.  The ``uid``,
+        ``id_u`` and ``id_v`` columns are sliced as array ops whenever
+        those three fields fit a word (``uid_bits <= 64``), so routing
+        layouts whose tree-label fields exceed 64 bits validate in batch
+        too — the wide fields are read only for the rows that pass.
+        After the id-range prefilter, rows are grouped by unordered
+        endpoint pair and each distinct pair pays one (batched) PRF
+        evaluation, however many candidate rows carry it; only valid
+        rows materialize Python objects — that ratio is what makes the
+        batched Boruvka decoder fast.
         """
         import numpy as np
 
@@ -443,7 +447,7 @@ class ExtendedEdgeIds:
         decoded: dict[int, DecodedEid] = {}
         if n_rows == 0:
             return valid, decoded
-        if not self.word_batchable:
+        if self.uid_scheme.uid_bits > 64:
             for i in range(n_rows):
                 d = self.try_decode(words_to_eid(words[i]))
                 if d is not None:
@@ -462,18 +466,18 @@ class ExtendedEdgeIds:
         rows = np.flatnonzero(plausible)
         if rows.size == 0:
             return valid, decoded
-        ul = id_u[rows].tolist()
-        vl = id_v[rows].tolist()
-        expected = self.uid_scheme.uid_batch(zip(ul, vl))
-        got = fields["uid"][rows].tolist()
-        for pos, exp in enumerate(expected):
-            if exp != got[pos]:
-                continue
-            row = int(rows[pos])
-            valid[row] = True
-            # Valid rows are rare; the scalar decoder materializes the
-            # full field set (including any routing payload) for them.
-            decoded[row] = self.try_decode(words_to_eid(words[row]))
+        slot: dict[tuple[int, int], int] = {}
+        slot_of = [
+            slot.setdefault((u, v) if u < v else (v, u), len(slot))
+            for u, v in zip(id_u[rows].tolist(), id_v[rows].tolist())
+        ]
+        expected = np.array(self.uid_scheme.uid_batch(slot), dtype=np.uint64)
+        rows = rows[expected[slot_of] == fields["uid"][rows]]
+        valid[rows] = True
+        unpack = self.codec.unpack
+        for row in rows.tolist():
+            eid = words_to_eid(words[row])
+            decoded[row] = self._decoded(eid, unpack(eid))
         return valid, decoded
 
     def try_decode(self, candidate: int) -> Optional[DecodedEid]:
@@ -491,9 +495,14 @@ class ExtendedEdgeIds:
             return None
         if not self.uid_scheme.matches(fields["uid"], u, v):
             return None
+        return self._decoded(candidate, fields)
+
+    @staticmethod
+    def _decoded(candidate: int, fields: dict[str, int]) -> DecodedEid:
+        """The :class:`DecodedEid` of a validated candidate's fields."""
         return DecodedEid(
-            u=u,
-            v=v,
+            u=fields["id_u"],
+            v=fields["id_v"],
             anc_u=(fields["tin_u"], fields["tout_u"]),
             anc_v=(fields["tin_v"], fields["tout_v"]),
             port_u=fields.get("port_u"),

@@ -448,11 +448,10 @@ def _restore_distance(meta: dict, arrays: dict):
                     for name in PackedTreeRouting._ARRAY_FIELDS
                 }
             )
-            tr = tree_routing
             aug = RoutingAugmentation(
                 port_bits=routing_port_bits(id_space),
-                tlabel_bits=tr.encoded_label_bits(),
-                tlabel_of=lambda lv, _tr=tr: _tr.encode_label(_tr.label(lv)),
+                tlabel_bits=tree_routing.encoded_label_bits(),
+                tlabel_of=tree_routing.encoded_label,
             )
         if scheme.base_scheme == "cycle_space":
             inst_scheme = _rebuild_cycle_scheme(

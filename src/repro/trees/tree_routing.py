@@ -324,6 +324,8 @@ class TreeRoutingScheme:
         self._anc = AncestryLabeling(tree)
         self._hld = HeavyLightDecomposition(tree)
         self._packed: Optional[PackedTreeRouting] = None
+        #: local vertex -> ``encode_label(label(v))``, filled on demand
+        self._encoded: dict[int, int] = {}
         # Γ blocks: for each tree child c of u, the list of children of u
         # replicating the label of the edge (u, c) (Claim 5.6).
         self._gamma: dict[int, tuple[int, ...]] = {}
@@ -489,6 +491,20 @@ class TreeRoutingScheme:
             else:
                 out <<= id_bits + port_bits + gcount_bits + gamma_max * port_bits
         return out
+
+    def encoded_label(self, v: int) -> int:
+        """``encode_label(label(v))``, memoized per vertex.
+
+        The sketch scheme embeds this integer in the EIDs of Eq. (5) and
+        in every succinct path it emits (Lemma 3.17), so the routing
+        plane's retry decodes ask for the same few endpoints over and
+        over; a label is a pure function of the tree, so caching it
+        cannot change a bit.
+        """
+        enc = self._encoded.get(v)
+        if enc is None:
+            enc = self._encoded[v] = self.encode_label(self.label(v))
+        return enc
 
     def decode_label(self, encoded: int) -> TreeLabel:
         """Inverse of :meth:`encode_label`."""

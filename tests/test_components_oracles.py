@@ -83,6 +83,24 @@ class TestConnectivityOracle:
     def test_empty_set_is_induced_cut(self, small_connected):
         assert ConnectivityOracle(small_connected).is_induced_edge_cut([])
 
+    @pytest.mark.parametrize("bad", [-1, "m"])
+    def test_out_of_range_fault_ids_rejected(self, bad):
+        """Both query methods reject an id outside 0..m-1 alike (the
+        batched one used to wrap -1 onto the last edge, the scalar one
+        to ignore it)."""
+        g = generators.grid_graph(1, 8)
+        ei = g.m if bad == "m" else bad
+        oracle = ConnectivityOracle(g)
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.connected(0, 7, [ei])
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.connected(3, 3, [ei])
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.connected_many([(0, 7)], [ei])
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.connected_many([(0, 7)], [[ei]])
+        assert oracle.connected_many([(0, 7)], [g.m - 1]) == [False]
+
     def test_random_cuts_verified_both_ways(self):
         rnd = random.Random(11)
         g = generators.random_connected_graph(16, extra_edges=20, seed=5)

@@ -173,3 +173,66 @@ class TestExtendedEdgeIds:
             e = g.edge(sub.edge_to_parent[le])
             assert {d.u, d.v} == {e.u, e.v}  # global ids embedded
             assert g.via_port(d.u, d.port_u)[0] == d.v  # global ports
+
+
+class TestTryDecodeWords:
+    """The batched Lemma 3.10 validator equals the scalar one row by row."""
+
+    @staticmethod
+    def _make(routing: bool):
+        g = generators.random_connected_graph(20, extra_edges=20, seed=5)
+        tree = RootedTree.bfs(g, root=0)
+        anc = AncestryLabeling(tree)
+        if not routing:
+            return g, ExtendedEdgeIds(g, UidScheme(seed=3), anc.label)
+        # Tree-label fields wider than a word, as in routing mode.
+        return g, ExtendedEdgeIds(
+            g,
+            UidScheme(seed=3),
+            anc.label,
+            port_bits=8,
+            tlabel_bits=100,
+            tlabel_of=lambda v: (v + 1) << 80 | v,
+        )
+
+    @staticmethod
+    def _rows(g, eids) -> list[int]:
+        real = [eids.eid(ei) for ei in range(g.m)]
+        rows = [0, 0] + real
+        rows += [real[i] ^ real[i + 1] for i in range(0, g.m - 1, 2)]
+        rows += [real[i] ^ real[i + 3] ^ real[i + 7] for i in range(g.m - 7)]
+        codec, uid = eids.codec, eids.uid_scheme
+        base = codec.unpack(real[0])
+        big = (1 << dict(codec.fields)["id_u"]) - 1
+        assert big >= eids.id_space
+        for u, v in [(big, 1), (2, big), (4, 4), (0, 0)]:
+            # correct uid for the pair: only the id checks can reject it
+            rows.append(codec.pack({**base, "id_u": u, "id_v": v, "uid": uid.uid(u, v)}))
+        # same endpoint pair as a real row, wrong uid: one PRF serves both
+        rows.append(real[0] ^ 1 << (codec.total_bits - 1))
+        rows += real[:3]  # repeated rows
+        return rows
+
+    @pytest.mark.parametrize("routing", [False, True], ids=["connectivity", "routing"])
+    def test_matches_scalar_try_decode(self, routing, monkeypatch):
+        from repro.sketches.sketch import eids_to_word_matrix
+
+        g, eids = self._make(routing)
+        if routing:
+            assert eids.tlabel_bits > 64 and not eids.word_batchable
+        rows = self._rows(g, eids)
+        expected = [eids.try_decode(r) for r in rows]
+        assert sum(d is not None for d in expected) == g.m + 3
+        words = eids_to_word_matrix(rows, eids.codec.word_count)
+
+        def scalar(_candidate):  # the batch path must not fall back to it
+            raise AssertionError("per-row scalar decode")
+
+        monkeypatch.setattr(eids, "try_decode", scalar)
+        valid, decoded = eids.try_decode_words(words)
+        assert valid.tolist() == [d is not None for d in expected]
+        assert sorted(decoded) == [i for i, d in enumerate(expected) if d is not None]
+        for i, d in decoded.items():
+            assert d == expected[i]
+        empty_valid, empty = eids.try_decode_words(words[:0])
+        assert empty_valid.shape == (0,) and empty == {}

@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.oracles import ConnectivityOracle
+from repro.serving.partition_cache import PartitionCache
 from tests.conftest import graphs_with_queries, random_fault_sets
 
 
@@ -78,6 +80,31 @@ class TestDecodeCorrectness:
             scheme.query(0, 5, [0, 0, 5, 5]).connected
             == oracle.connected(0, 5, [0, 5])
         )
+
+    @pytest.mark.parametrize("bad", [-1, "m"])
+    def test_out_of_range_fault_ids_rejected(self, bad):
+        """An edge id outside 0..m-1 is an error, never a real edge.
+
+        Python list indexing would wrap -1 onto the path's last edge and
+        cut it; id m would raise a bare IndexError.
+        """
+        g = generators.grid_graph(1, 8)
+        ei = g.m if bad == "m" else bad
+        fast = SketchConnectivityScheme(g, seed=3)
+        ref = SketchConnectivityScheme(g, seed=3, engine="reference")
+        calls = [
+            lambda: fast.query_many([(0, 7)], [ei]),
+            lambda: fast.query_many([(0, 7)], [[ei]]),
+            lambda: fast.query(0, 7, [ei]),
+            lambda: fast.decode_partition([ei]),
+            lambda: PartitionCache(fast).query_many([(0, 7)], [ei]),
+            lambda: ref.query(0, 7, [ei]),
+            lambda: ref.query_many([(0, 7)], [ei]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+        assert fast.query(0, 7, [g.m - 1]).connected is False
 
 
 class TestPathOutput:

@@ -219,6 +219,28 @@ def test_router_round_trip_reference_engine_agrees(tmp_path):
         assert a.trace == b.trace and a.telemetry == b.telemetry
 
 
+def test_router_memoized_tree_labels_match_encoding(tmp_path):
+    """``TreeRoutingScheme.encoded_label`` is ``encode_label(label(v))``
+    for every vertex of every routing instance, on the built router
+    and after a restore (whose memo starts empty), and it is the tree
+    label the instance's sketch scheme embeds in vertex labels."""
+    graph = generators.random_connected_graph(48, extra_edges=70, seed=21)
+    router = FaultTolerantRouter(graph, f=2, k=2, seed=3)
+    path = tmp_path / "router.snap"
+    save_snapshot(path, router)
+    restored = load_snapshot(path)
+    for r in (router, restored):
+        instances = list(r.scheme.instances.values())
+        assert instances and all(i.tree_routing is not None for i in instances)
+        for inst in instances:
+            tr = inst.tree_routing
+            for v in range(inst.sub.graph.n):
+                want = tr.encode_label(tr.label(v))
+                assert tr.encoded_label(v) == want
+                assert tr.encoded_label(v) == want  # served from the memo
+                assert inst.scheme.vertex_label(v).tlabel == want
+
+
 # ----------------------------------------------------------------------
 # Facades: save() / load()
 # ----------------------------------------------------------------------

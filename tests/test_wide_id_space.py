@@ -105,6 +105,23 @@ def test_ragged_and_dense_prefix_layouts_answer_identically(id_space):
     assert ragged.prefix_layout == "ragged"
     pairs, per = _queries(graph, 50, 5, seed=48)
     assert dense.query_many(pairs, per) == ragged.query_many(pairs, per)
+    # Bridge-heavy input: every tree fault of a path cuts it, so the
+    # decoder retires the cut components' empty Boruvka tails on both
+    # layouts; phases_used still counts the full unit budget.
+    path = generators.grid_graph(1, 96)
+    dense = SketchConnectivityScheme(
+        path, seed=11, id_space=id_space, prefix_layout="dense"
+    )
+    ragged = SketchConnectivityScheme(
+        path, seed=11, id_space=id_space, prefix_layout="ragged"
+    )
+    rnd = random.Random(49)
+    pairs = [tuple(rnd.sample(range(path.n), 2)) for _ in range(60)]
+    per = [rnd.sample(range(path.m), rnd.randint(2, 4)) for _ in pairs]
+    answers = dense.query_many(pairs, per)
+    assert answers == ragged.query_many(pairs, per)
+    units = dense.context.dims.units
+    assert any(a.phases_used == units for a in answers)
 
 
 def test_route_many_with_wide_id_space():
