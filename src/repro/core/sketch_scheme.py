@@ -1694,10 +1694,6 @@ class SketchConnectivityScheme:
         merges: list[list[tuple[DecodedEid, int, int]]] = [[] for _ in range(H)]
         alive = list(range(H))
         for unit in range(units):
-            seg: list[int] = [0]
-            flat_rows: list[int] = []
-            ev_flat: list[int] = []
-            ev_tgt: list[int] = []
             ext_meta: list[tuple[int, int]] = []  # (query, root) per extraction
             task_lo: list[int] = []  # first extraction of each live task
             still: list[int] = []
@@ -1707,39 +1703,16 @@ class SketchConnectivityScheme:
                     continue
                 phases[h] += 1
                 task_lo.append(len(ext_meta))
-                qrows = grows[h]
-                qevs = gevs[h]
-                for r in roots:
-                    i = len(ext_meta)
-                    ext_meta.append((h, r))
-                    flat_rows += qrows[r]
-                    seg.append(len(flat_rows))
-                    evs = qevs[r]
-                    if evs:
-                        ev_flat += evs
-                        ev_tgt += [i] * len(evs)
+                ext_meta += [(h, r) for r in roots]
                 still.append(h)
             alive = still
             R = len(ext_meta)
             if not R:
                 break
-            fr_idx = np.asarray(flat_rows, dtype=np.int64)
-            if isinstance(prefix, np.ndarray):
-                slab = prefix[fr_idx, unit]
-            else:
-                slab = prefix.gather(fr_idx, unit)
-            cand = np.bitwise_xor.reduceat(
-                slab, np.asarray(seg[:-1], dtype=np.int64), axis=0
-            )
+            cand = self._exact_cells(
+                ext_meta, grows, gevs, prefix, ev_ml, ev_words, unit, unit + 1
+            )[:, 0]
             flat = cand.reshape(R * levels, width)
-            if ev_flat:
-                evi = np.asarray(ev_flat, dtype=np.int64)
-                tgt = (
-                    np.asarray(ev_tgt, dtype=np.int64) * levels
-                    + ev_ml[evi, unit]
-                )
-                for w in range(width):
-                    np.bitwise_xor.at(flat[:, w], tgt, ev_words[evi, w])
             rev = cand[:, ::-1, :]
             np.bitwise_xor.accumulate(rev, axis=1, out=rev)
             nz = (flat != 0).any(axis=1)
@@ -1830,6 +1803,58 @@ class SketchConnectivityScheme:
 
         return [(forests[h], ufs[h], merges[h], phases[h]) for h in range(H)]
 
+    def _exact_cells(
+        self,
+        ext: list[tuple[int, int]],
+        grows: list[list[list[int]]],
+        gevs: list[list[list[int]]],
+        prefix,
+        ev_ml: Optional[np.ndarray],
+        ev_words: Optional[np.ndarray],
+        lo: int,
+        hi: int,
+    ) -> np.ndarray:
+        """Exact sketch cells of the ``(task, root)`` components ``ext``
+        over units ``lo..hi-1``, shape ``(len(ext), hi - lo, levels,
+        words)``.
+
+        Claim 3.15 plus fault cancellation: each component's cells are
+        the XOR of its gathered prefix rows (a dense slice, or one
+        :meth:`RaggedPrefix.gather` per unit) with every cancelled
+        fault word XORed into its exact level of each unit.  A Boruvka
+        phase reads one unit (``hi = lo + 1``); the empty-tail check
+        reads all the remaining ones.
+        """
+        rows: list[int] = []
+        seg: list[int] = []
+        evs: list[int] = []
+        ev_tgt: list[int] = []
+        for i, (h, r) in enumerate(ext):
+            seg.append(len(rows))
+            rows += grows[h][r]
+            e = gevs[h][r]
+            if e:
+                evs += e
+                ev_tgt += [i] * len(e)
+        idx = np.asarray(rows, dtype=np.int64)
+        if isinstance(prefix, np.ndarray):
+            slab = prefix[idx, lo:hi]
+        elif hi - lo == 1:
+            slab = prefix.gather(idx, lo)[:, None]
+        else:
+            slab = np.stack([prefix.gather(idx, u) for u in range(lo, hi)], axis=1)
+        cells = np.bitwise_xor.reduceat(slab, np.asarray(seg, dtype=np.int64), axis=0)
+        if evs:
+            span, levels, width = cells.shape[1:]
+            evi = np.asarray(evs, dtype=np.int64)
+            # (event, unit) -> flat exact cell of the event's component
+            tgt = (
+                np.asarray(ev_tgt, dtype=np.int64)[:, None] * span
+                + np.arange(span, dtype=np.int64)
+            ) * levels + ev_ml[evi, lo:hi]
+            np.bitwise_xor.at(cells.reshape(-1, width), tgt, ev_words[evi][:, None])
+        return cells
+
     def _empty_tails(
         self,
         tasks: list[int],
@@ -1841,64 +1866,33 @@ class SketchConnectivityScheme:
         ev_words: Optional[np.ndarray],
         lo: int,
     ) -> list[int]:
-        """The tasks whose live roots read all-zero cells in every unit
-        from ``lo`` on.
-
-        Each root's exact cells over units ``lo..L-1`` are assembled
-        exactly as a Boruvka phase assembles one unit — the XOR of its
-        gathered prefix rows (a dense slice, or one
-        :meth:`RaggedPrefix.gather` per unit) with its cancelled fault
-        words scattered into their exact levels — and tested for zero.
-        (Exact cells are zero iff the cumulative cells are.)  Tasks are
-        checked in chunks of at most ``_TAIL_WORDS`` gathered words.
+        """The tasks whose live roots read all-zero exact cells in every
+        unit from ``lo`` on (:meth:`_exact_cells`; exact cells are zero
+        iff the cumulative cells are).  Tasks are checked in chunks of
+        at most ``_TAIL_WORDS`` gathered words.
         """
         dims = self.context.dims
-        span = dims.units - lo
-        per_row = span * dims.levels * dims.words
+        per_row = (dims.units - lo) * dims.levels * dims.words
         empty: list[int] = []
         start = 0
         while start < len(tasks):
-            rows: list[int] = []
-            seg: list[int] = []
-            evs: list[int] = []
-            ev_tgt: list[int] = []
-            task_lo: list[int] = []
             chunk: list[int] = []
+            ext: list[tuple[int, int]] = []
+            task_lo: list[int] = []
+            n_rows = 0
             for h in tasks[start:]:
-                if chunk and len(rows) * per_row > _TAIL_WORDS:
+                if chunk and n_rows * per_row > _TAIL_WORDS:
                     break
                 chunk.append(h)
-                task_lo.append(len(seg))
+                task_lo.append(len(ext))
                 for r in roots_of[h]:
-                    e = gevs[h][r]
-                    if e:
-                        evs += e
-                        ev_tgt += [len(seg)] * len(e)
-                    seg.append(len(rows))
-                    rows += grows[h][r]
+                    ext.append((h, r))
+                    n_rows += len(grows[h][r])
             start += len(chunk)
-            idx = np.asarray(rows, dtype=np.int64)
-            if isinstance(prefix, np.ndarray):
-                slab = prefix[idx, lo:]
-            else:
-                slab = np.stack(
-                    [prefix.gather(idx, u) for u in range(lo, dims.units)], axis=1
-                )
-            cells = np.bitwise_xor.reduceat(
-                slab, np.asarray(seg, dtype=np.int64), axis=0
+            cells = self._exact_cells(
+                ext, grows, gevs, prefix, ev_ml, ev_words, lo, dims.units
             )
-            if evs:
-                evi = np.asarray(evs, dtype=np.int64)
-                tgt = (
-                    (np.asarray(ev_tgt, dtype=np.int64)[:, None] * span)
-                    + np.arange(span, dtype=np.int64)
-                ) * dims.levels + ev_ml[evi, lo:]
-                flat = cells.reshape(-1, dims.words)
-                for w in range(dims.words):
-                    np.bitwise_xor.at(
-                        flat[:, w], tgt.ravel(), np.repeat(ev_words[evi, w], span)
-                    )
-            busy = cells.reshape(len(seg), -1).any(axis=1)
+            busy = cells.reshape(len(ext), -1).any(axis=1)
             busy = np.logical_or.reduceat(busy, np.asarray(task_lo, dtype=np.int64))
             empty += [h for h, b in zip(chunk, busy.tolist()) if not b]
         return empty

@@ -427,9 +427,9 @@ class ExtendedEdgeIds:
 
         Returns ``(valid, decoded)``: ``valid[i]`` iff row ``i`` is a
         single-edge EID (same test as :meth:`try_decode`), ``decoded``
-        holding a :class:`DecodedEid` for every valid row.  The ``uid``,
-        ``id_u`` and ``id_v`` columns are sliced as array ops whenever
-        those three fields fit a word (``uid_bits <= 64``), so routing
+        holding a :class:`DecodedEid` for every valid row.  Only the
+        ``uid``, ``id_u`` and ``id_v`` columns are sliced as array ops
+        (a ``uid`` wider than a word raises ``ValueError``), so routing
         layouts whose tree-label fields exceed 64 bits validate in batch
         too — the wide fields are read only for the rows that pass.
         After the id-range prefilter, rows are grouped by unordered
@@ -446,13 +446,6 @@ class ExtendedEdgeIds:
         valid = np.zeros(n_rows, dtype=bool)
         decoded: dict[int, DecodedEid] = {}
         if n_rows == 0:
-            return valid, decoded
-        if self.uid_scheme.uid_bits > 64:
-            for i in range(n_rows):
-                d = self.try_decode(words_to_eid(words[i]))
-                if d is not None:
-                    valid[i] = True
-                    decoded[i] = d
             return valid, decoded
         fields = self.codec.unpack_words_batch(words, fields=("uid", "id_u", "id_v"))
         id_u = fields["id_u"].astype(np.int64)
