@@ -126,7 +126,7 @@ async def _traced_overhead(scheme, graph, seed: int) -> dict:
         client = await AsyncQueryClient.connect("127.0.0.1", server.port)
         try:
             # warm both code paths before timing (partition caches,
-            # coalescer, allocator pools)
+            # allocator pools)
             for batch, F in zip(batches[:16], faults[:16]):
                 await client.connectivity(batch, F)
                 await client.connectivity(batch, F, trace_id=mint_trace_id())

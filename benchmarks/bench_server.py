@@ -76,7 +76,7 @@ WORKER_LADDER = (2, 8)
 
 FAULT_SIZE = 2
 FAULT_SETS = 8
-BATCH = 8  # pairs per request: the shape the coalescer emits anyway
+BATCH = 8  # pairs per request
 
 
 def _bench_stream(graph, queries: int, seed: int):

@@ -8,7 +8,7 @@ load-balanced tables, the Ω(f) stretch lower bound, and every substrate
 they rely on (cycle-space sampling, linear graph sketches, tree covers,
 Thorup–Zwick tree routing, a port-based network simulator) — plus a
 serving layer (:mod:`repro.serving`) that caches fault-set partitions,
-coalesces query streams and shards them across processes, an
+batches query streams and shards them across processes, an
 array-native routing plane (:mod:`repro.routing`) with batched
 ``route_many``, and a traffic subsystem (:mod:`repro.traffic`) for
 workload generation and churn simulation.

@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--shards", type=int, default=0,
                        help="shard worker processes (0 = serve in process)")
     p_srv.add_argument("--chunk", type=int, default=512,
-                       help="coalescer chunk size bound")
+                       help="most pairs per batch posted to a shard")
     p_srv.add_argument("--cache-capacity", type=int, default=128,
                        help="partition-cache LRU capacity per shard")
     p_srv.add_argument("--deadline", type=float, default=30.0,

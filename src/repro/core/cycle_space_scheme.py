@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import derive_seed
-from repro.core._batch import normalize_faults
+from repro.core._batch import check_fault_ids, normalize_faults
 from repro.cycle_space.labels import CycleSpaceLabels
 from repro.graph.ancestry import (
     AncestryLabeling,
@@ -444,7 +444,7 @@ class CycleSpaceConnectivityScheme:
         packed store instead of per-object labels (the solve itself is
         already O((f + log n) f^2) per query and stays per query).
         """
-        per = normalize_faults(pairs, faults)
+        per = normalize_faults(pairs, faults, m=self.graph.m)
         if self.engine == "reference":
             return [
                 self.decode(
@@ -527,6 +527,7 @@ class CycleSpaceConnectivityScheme:
             if ei not in seen:
                 seen.add(ei)
                 order.append(ei)
+        check_fault_ids(order, self.graph.m)
         return PreparedFaultSet(self, tuple(order))
 
     # ------------------------------------------------------------------
@@ -538,8 +539,10 @@ class CycleSpaceConnectivityScheme:
         Delegates to the batched path with batch size 1 on the default
         engine; ``engine="reference"`` runs the seed label decoder.
         """
+        faults = [int(ei) for ei in faults]
+        check_fault_ids(faults, self.graph.m)
         if self.engine == "csr":
-            return self.query_many([(s, t)], list(faults))[0]
+            return self.query_many([(s, t)], faults)[0]
         result = self.decode(
             self.vertex_label(s),
             self.vertex_label(t),

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro._util import derive_seed
 from repro._util.build_pool import BuildPool
+from repro.core._batch import check_fault_ids, normalize_faults
 from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
 from repro.core.sketch_scheme import RoutingAugmentation, SketchConnectivityScheme
 from repro.graph.graph import Graph, InducedSubgraph
@@ -707,10 +708,8 @@ class DistanceLabelScheme:
         edge ids via the membership tables), so the underlying Boruvka
         or GF(2) decodes run over whole query groups at once.
         """
-        from repro.core._batch import normalize_faults
-
         pairs = list(pairs)
-        per = normalize_faults(pairs, faults)
+        per = normalize_faults(pairs, faults, m=self.graph.m)
         if self.engine == "reference":
             return [
                 self.query(s, t, F, copy=copy)
@@ -795,6 +794,7 @@ class DistanceLabelScheme:
             if ei not in seen:
                 seen.add(ei)
                 order.append(ei)
+        check_fault_ids(order, self.graph.m)
         return DistancePartition(self, tuple(order), copy)
 
     # ------------------------------------------------------------------
@@ -802,6 +802,8 @@ class DistanceLabelScheme:
     # ------------------------------------------------------------------
     def query(self, s: int, t: int, faults: Iterable[int], copy: int = 0) -> float:
         """Full-pipeline estimate of dist(s, t; G \\ F)."""
+        faults = [int(ei) for ei in faults]
+        check_fault_ids(faults, self.graph.m)
         result = self.decode(
             self.vertex_label(s),
             self.vertex_label(t),

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core._batch import normalize_faults
+from repro.core._batch import check_fault_ids, normalize_faults
 from repro.graph.ancestry import (
     AncestryLabeling,
     AncLabel,
@@ -187,7 +187,7 @@ class ForestConnectivityScheme:
         edge separates s from t iff it lies on exactly one of the
         root-s / root-t paths — one boolean tensor reduction.
         """
-        per = normalize_faults(pairs, faults)
+        per = normalize_faults(pairs, faults, m=self.graph.m)
         comp_v, tin, tout, comp_e, tin_u, tout_u, tin_v, tout_v = (
             self._packed_store()
         )
@@ -246,6 +246,7 @@ class ForestConnectivityScheme:
             if ei not in seen:
                 seen.add(ei)
                 order.append(ei)
+        check_fault_ids(order, self.graph.m)
         codes = comp_v.astype(np.int64)
         for ei in order:
             # The fault only cuts inside its own tree; masking by the

@@ -7,7 +7,8 @@ One consistent measurement layer for every tier of the serving stack:
   processes (spawn shard workers and build workers ship their
   registries to the parent as dicts or zlib-packed bytes);
 * :class:`Trace` / :class:`SlowQueryLog` — per-request span timelines
-  (decode → coalesce → shard → partition → send) carried through the
+  (decode → coalesce → shard → partition → send; ``coalesce`` is the
+  wait for the request's group-commit batch) carried through the
   wire protocol by an optional trace-id header field;
 * :class:`PhaseTimer` — ordered build-phase attribution replacing the
   hand-rolled ``build_phase_s`` / ``phase_s`` dict threading;

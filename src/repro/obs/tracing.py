@@ -1,18 +1,24 @@
 """Per-request tracing: trace ids, span timelines, and the slow-query log.
 
-A :class:`Trace` is born when the server decodes a request frame — with
-the client's trace id if the frame carried one (``FLAG_TRACED`` in the
-wire protocol), freshly minted otherwise — and rides the request
-through the coalescer and shard dispatch.  Each stage appends a
-**span**: a ``(name, start_offset_s, duration_s)`` triple relative to
-the trace's birth, producing the timeline
+A :class:`Trace` is born when the server starts decoding a request
+frame — with the client's trace id if the frame carried one
+(``FLAG_TRACED`` in the wire protocol), freshly minted otherwise — and
+rides the request through the shard service's group commit and the
+worker.  Each stage appends a **span**: a ``(name, start_offset_s,
+duration_s)`` triple relative to the trace's birth, producing the
+timeline
 
     decode -> coalesce -> shard -> partition -> send
 
-for a coalesced single-pair query (batch requests skip ``coalesce``).
-Spans are plain tuples appended under no lock — a trace belongs to one
-request and is only ever touched from the event loop plus the single
-callback that settles it, so the cheap representation is the safe one.
+for every query frame served by shard workers: ``decode`` is the
+frame's own decode, ``coalesce`` runs from submit to the post of the
+request's batch, ``shard`` from the post to the reply, ``partition`` is
+the worker's decode time at the tail of ``shard``, and ``send`` encodes
+and writes the reply.  Local-mode and ROUTE requests record the wait
+for the server's blocking thread as ``coalesce`` and their run on it as
+``shard``; admin frames record ``decode`` and ``send`` only.  Spans are plain tuples appended under no
+lock — a trace belongs to one request and is only ever touched from the
+event loop, so the cheap representation is the safe one.
 
 Traces observe; they never steer.  No decode path branches on the
 presence of a trace, which is how the bit-identity constraint (answers

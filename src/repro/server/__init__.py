@@ -2,16 +2,18 @@
 
 The front door of the build/serve split: a :mod:`repro.store` snapshot
 built once is served to any number of network clients by
-:class:`~repro.server.server.LabelServer`, which fans coalesced
-fault-set chunks out to shard workers mmap'ing that one snapshot and
-supports zero-downtime blue/green snapshot reload.
+:class:`~repro.server.server.LabelServer`, which group-commits query
+frames to shard workers mmap'ing that one snapshot (one batch per
+shard reply, no wait timer) and supports zero-downtime blue/green
+snapshot reload.
 
 * :mod:`repro.server.protocol` — versioned length-prefixed binary
   frames (queries, answers, errors, stats, admin reload), the
   bit-exact wire codecs for scheme answers, and the answer writers
   shard workers encode their replies with;
-* :mod:`repro.server.server` — the asyncio server: coalescing,
-  shard fan-out, backpressure, deadlines, generation swap;
+* :mod:`repro.server.server` — the asyncio server: per-connection
+  protocol callbacks, shard fan-out, backpressure, deadlines,
+  generation swap;
 * :mod:`repro.server.client` — blocking and asyncio clients that
   rebuild native answer dataclasses from the wire.
 

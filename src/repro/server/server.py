@@ -3,31 +3,27 @@
 :class:`LabelServer` turns the in-process serving stack into a network
 service speaking the :mod:`repro.server.protocol` frames:
 
-* **fan-out** — connectivity/distance queries are grouped by canonical
-  fault key and dispatched to the shard workers of a
+* **fan-out by loop callbacks** — each connection is an
+  :class:`asyncio.Protocol` whose read callback decodes, validates and
+  submits every query frame to the shard workers of a
   :class:`~repro.serving.shards.ShardedQueryService` (spawn-mode
   workers that mmap one :mod:`repro.store` snapshot when the server is
-  snapshot-backed, fork/local otherwise) through the non-blocking
-  :meth:`~repro.serving.shards.ShardedQueryService.start_chunk` path —
-  the event loop owns every shard pipe (it writes chunks without
-  blocking and reads replies as they arrive), so no thread sits between
-  the loop and a worker and the loop never blocks on one.  Workers
-  reply with encoded v1 items (the generation's answer writer runs
-  where the answers are made), which the loop splices into the reply
-  frame without decoding them;
-* **coalescing** — single-pair requests from any number of connections
-  are funneled through per-generation
-  :class:`~repro.serving.coalescer.AsyncQueryCoalescer` instances (one
-  per keyword shape), so concurrent clients querying the same fault
-  set share one partition decode;
-* **backpressure + deadlines** — each connection stops consuming new
-  frames once ``max_inflight`` requests are unanswered (TCP then
-  pushes back on the client), and every request is bounded by
-  ``deadline_s``: a lost shard worker surfaces as one ``ERROR`` frame
-  (:data:`~repro.server.protocol.ErrorCode.SHARD_LOST`) for exactly
-  the in-flight requests, never a hang — a worker that dies is seen at
-  once (EOF on its pipe) and respawned, one that hangs is killed and
-  respawned at the chunk timeout
+  snapshot-backed, fork/local otherwise); the loop's read of the shard
+  pipe calls the request's reply path, which writes the reply frame.
+  A query frame costs two loop callbacks and no Task.  The service
+  group-commits per home shard: an idle shard gets a request at once,
+  and requests that arrive while it works go as one batch when its
+  reply is read.  Workers reply with encoded v1 items, which the loop
+  splices into the reply frame without decoding them;
+* **backpressure + deadlines** — a connection stops reading while
+  ``max_inflight`` of its requests are unanswered or its transport is
+  paused for writing (TCP then pushes back on the client), and every
+  request but RELOAD is bounded by ``deadline_s`` (one timer each; PING
+  is answered inline): a lost shard worker surfaces as one ``ERROR``
+  frame (:data:`~repro.server.protocol.ErrorCode.SHARD_LOST`) for the
+  requests of the batch in flight, never a hang — a worker that dies is
+  seen at once (EOF on its pipe) and respawned, one that hangs is killed
+  and respawned at the chunk timeout
   (:meth:`~repro.serving.shards.ShardedQueryService.restart_shard`;
   ``tests/test_server_chaos.py``);
 * **zero-downtime reload** — :meth:`LabelServer.reload` (admin
@@ -58,7 +54,6 @@ from functools import partial
 from typing import Optional
 
 from repro.obs import MetricsRegistry, SlowQueryLog, Trace
-from repro.serving.coalescer import AsyncQueryCoalescer
 from repro.serving.shards import ShardedQueryService, ShardLostError
 from repro.server.protocol import (
     EncodedItems,
@@ -143,7 +138,7 @@ class ServerStats:
 
 
 class _Generation:
-    """One immutable serving backend: labels + shard workers + coalescers.
+    """One immutable serving backend: labels + shard workers.
 
     Reload is blue/green over generations: requests acquire the
     current generation for their whole lifetime; a retired generation
@@ -174,7 +169,6 @@ class _Generation:
         self.refs = 0
         self.retired = False
         self._drained: Optional[asyncio.Event] = None
-        self.coalescers: dict[tuple, AsyncQueryCoalescer] = {}
 
     def acquire(self) -> "_Generation":
         self.refs += 1
@@ -195,11 +189,8 @@ class _Generation:
             return
         await self._drained.wait()
 
-    async def aclose(self) -> None:
-        """Flush coalescers, stop shard workers, drop every label ref."""
-        for coalescer in self.coalescers.values():
-            await coalescer.aclose()
-        self.coalescers.clear()
+    def close(self) -> None:
+        """Stop shard workers, drop every label ref."""
         if self.service is not None:
             self.service.close()
             self.service = None
@@ -235,7 +226,6 @@ class LabelServer:
         mp_context: Optional[str] = None,
         cache_capacity: int = 128,
         max_chunk: int = 512,
-        max_delay: float = 0.002,
         deadline_s: float = 30.0,
         max_inflight: int = 64,
         chunk_timeout: Optional[float] = None,
@@ -257,7 +247,6 @@ class LabelServer:
         self.mp_context = mp_context or ("spawn" if snapshot else "fork")
         self.cache_capacity = cache_capacity
         self.max_chunk = max_chunk
-        self.max_delay = max_delay
         self.deadline_s = deadline_s
         self.max_inflight = max_inflight
         self.chunk_timeout = (
@@ -279,6 +268,7 @@ class LabelServer:
             capacity=slow_log_capacity, threshold_s=slow_threshold_s
         )
         self._gen: Optional[_Generation] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._versions = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._reload_lock: Optional[asyncio.Lock] = None
@@ -292,7 +282,9 @@ class LabelServer:
         self._reload_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-reload"
         )
-        self._conn_tasks: set = set()
+        self._conns: set = set()
+        #: STATS and RELOAD answers in progress (the only request tasks)
+        self._tasks: set = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -372,7 +364,7 @@ class LabelServer:
     # ------------------------------------------------------------------
     async def start(self) -> "LabelServer":
         """Bind the listening socket and build the first generation."""
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._reload_lock = asyncio.Lock()
         self._gen = self._activate(
             await loop.run_in_executor(
@@ -380,8 +372,8 @@ class LabelServer:
                 partial(self._build_generation, self._snapshot_path),
             )
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await loop.create_server(
+            partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.install_sighup:
@@ -400,16 +392,20 @@ class LabelServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            conn.transport.abort()
+        await asyncio.sleep(0)  # connection_lost drops their requests
+        if self._server is not None:
             await self._server.wait_closed()
-        for task in list(self._conn_tasks):
+        for task in list(self._tasks):
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
         if self.install_sighup:
             with contextlib.suppress(Exception):
                 asyncio.get_running_loop().remove_signal_handler(signal.SIGHUP)
         if self._gen is not None:
-            await self._gen.aclose()
+            self._gen.close()
             self._gen = None
         self._blocking.shutdown(wait=True)
         self._reload_executor.shutdown(wait=True)
@@ -451,7 +447,7 @@ class LabelServer:
             self.stats.reloads += 1
             self.obs.counter("server.reloads").inc()
             await old.drain()
-            await old.aclose()
+            old.close()
             return old.version, new.version, new.kind
 
     async def _reload_quietly(self) -> None:
@@ -466,89 +462,219 @@ class LabelServer:
             )
 
     # ------------------------------------------------------------------
-    # Query dispatch
+    # Requests: one frame in, one reply out
     # ------------------------------------------------------------------
-    async def _service_chunk(
-        self, gen: _Generation, pairs, faults, kw, trace: Optional[Trace] = None
-    ) -> list:
-        """One coalesced chunk through the generation's shard service,
-        answered as encoded reply items (``gen.writer``'s output).
+    def _serve(
+        self, conn: "_Connection", frame: Frame, t0: float, decode_s: float
+    ) -> None:
+        """Start answering one frame decoded by ``conn``'s read callback.
 
-        With a ``trace``, the chunk's shard window becomes a ``shard``
-        span and the worker-reported decode time a ``partition`` span
-        (placed at the window's tail: queue wait first, then the
-        build).  Coalesced singles get these spans from the coalescer
-        instead — their chunk is shared, so per-request attribution
-        happens where the request is still individual.
+        Every request ends in exactly one :meth:`_finish`: its reply, or
+        its drop when the client goes away.  PING is answered here;
+        query frames go to the shard service or the blocking thread,
+        STATS and RELOAD to a task, and each of them but RELOAD gets a
+        deadline timer.  Invalid frames are answered here too, with the
+        ``ERROR`` frame of their exception (see :data:`_ERROR_CODES`).
         """
-        service = gen.service
-        t0 = time.perf_counter()
+        self.stats.frames += 1
+        self.obs.counter("server.frames_total").inc()
+        # Every request gets a trace: the client's id when the frame
+        # carried one, a freshly minted one otherwise (so the slow-query
+        # log covers untraced clients too), born when its decode began.
+        trace = Trace(frame.trace_id)
+        trace.t0 = t0
+        trace.add_span("decode", t0, decode_s)
+        req = _Request(conn, frame, trace, self.generation.acquire())
+        conn.requests.add(req)
+        ftype = frame.type
+        try:
+            if ftype is FrameType.PING:
+                self._finish(req, FrameType.PONG, req.gen.version)
+            elif ftype in (FrameType.CONNECTIVITY, FrameType.DISTANCE):
+                self._query(req)
+            elif ftype is FrameType.ROUTE:
+                self._route(req)
+            elif ftype is FrameType.STATS:
+                self._arm_deadline(req)
+                req.work = self._run_task(
+                    req, FrameType.STATS_REPLY, self._stats_payload, req.gen
+                )
+            elif ftype is FrameType.RELOAD:
+                path = frame.payload
+                if path is not None and not isinstance(path, str):
+                    raise BadQueryError(
+                        "RELOAD payload must be None or a path"
+                    )
+                # Reload drains the outgoing generation — the ref this
+                # very frame holds on it would deadlock that drain.  It
+                # runs on its own (much longer) timeline, with no
+                # deadline, and finishes even if its client leaves.
+                req.gen.release()
+                req.gen = None
+                self._run_task(req, FrameType.RELOAD_REPLY, self.reload, path)
+            else:
+                raise _Unsupported(f"server cannot answer {ftype.name} frames")
+        except Exception as exc:
+            self._fail(req, exc)
+
+    def _query(self, req: "_Request") -> None:
+        """A CONNECTIVITY or DISTANCE frame: validate it, then submit it
+        to the generation's shard service (local mode: run it on the
+        blocking thread)."""
+        gen, frame = req.gen, req.frame
+        payload = frame.payload
+        if frame.type is FrameType.CONNECTIVITY:
+            if not isinstance(payload, (list, tuple)) or len(payload) != 3:
+                raise ProtocolError("CONNECTIVITY payload must be "
+                                    "[pairs, faults, want_path]")
+            raw_pairs, raw_faults, want_path = payload
+            if not isinstance(want_path, bool):
+                raise ProtocolError("want_path must be a bool")
+            reply_type = FrameType.CONNECTIVITY_REPLY
+        else:
+            if not isinstance(payload, (list, tuple)) or len(payload) != 2:
+                raise ProtocolError("DISTANCE payload must be "
+                                    "[pairs, faults]")
+            raw_pairs, raw_faults = payload
+            want_path = None
+            reply_type = FrameType.DISTANCE_REPLY
+        pairs = decode_pairs(raw_pairs)
+        faults = decode_faults(raw_faults)
+        if not pairs:
+            raise BadQueryError("empty pair list")
+        if frame.type is not gen.query_type:
+            raise _Unsupported(
+                f"this server holds a {gen.kind!r} artifact; it cannot "
+                f"answer {frame.type.name} queries"
+            )
+        self._validate(gen, pairs, faults)
+        kw = {"want_path": want_path} if gen.kind == "sketch" else {}
+        self.stats.queries += len(pairs)
+        self.obs.counter("server.queries_total").inc(len(pairs))
+        self._arm_deadline(req)
+        service, writer = gen.service, gen.writer
         if service.mode == "local":
-            # Local mode: numpy work and encoding on the (single)
-            # blocking thread.
-            items = await asyncio.get_running_loop().run_in_executor(
-                self._blocking,
-                lambda: gen.writer(service.query_many(pairs, faults, **kw)),
-            )
-            if trace is not None:
-                trace.add_span("shard", t0, time.perf_counter() - t0)
-            return items
-        # The service bounds the chunk: a worker that dies or hangs past
-        # the chunk timeout fails the future with ShardLostError.
-        shard, future = service.start_chunk(pairs, faults, kw, gen.writer)
-        items, meta = await future
-        if trace is not None:
-            dur = time.perf_counter() - t0
-            trace.add_span("shard", t0, dur)
-            worker_s = meta.get("worker_s")
-            if worker_s is not None:
-                trace.add_span(
-                    "partition", t0 + max(0.0, dur - worker_s), worker_s
+            # Local mode: numpy work and encoding on the blocking thread.
+            def answer():
+                return EncodedItems(
+                    writer(service.query_many(pairs, faults, **kw))
                 )
-            trace.meta.setdefault("shards", []).append(shard)
-        return items
 
-    def _coalescer_for(self, gen: _Generation, kw: dict) -> AsyncQueryCoalescer:
-        key = tuple(sorted(kw.items()))
-        coalescer = gen.coalescers.get(key)
-        if coalescer is None:
-
-            async def backend(pairs, faults, _gen=gen, _kw=dict(kw)):
-                return await self._service_chunk(_gen, pairs, faults, _kw)
-
-            coalescer = AsyncQueryCoalescer(
-                backend,
-                max_chunk=self.max_chunk,
-                max_delay=self.max_delay,
-                chunk_hist=self.obs.histogram("server.coalesce_chunk_size"),
-            )
-            gen.coalescers[key] = coalescer
-        return coalescer
-
-    async def _query_via_service(
-        self, gen: _Generation, pairs, faults, kw: dict,
-        trace: Optional[Trace] = None,
-    ) -> list:
-        if len(pairs) == 1:
-            # Singles coalesce across connections: concurrent clients
-            # asking about one fault set share a partition decode.
-            s, t = pairs[0]
-            return [
-                await self._coalescer_for(gen, kw).query(
-                    s, t, faults, trace=trace
-                )
-            ]
-        if len(pairs) <= self.max_chunk:
-            return await self._service_chunk(gen, pairs, faults, kw, trace=trace)
-        chunks = await asyncio.gather(
-            *(
-                self._service_chunk(
-                    gen, pairs[lo : lo + self.max_chunk], faults, kw, trace=trace
-                )
-                for lo in range(0, len(pairs), self.max_chunk)
-            )
+            self._on_thread(req, reply_type, answer)
+            return
+        req.t_submit = time.perf_counter()
+        req.work = service.submit(
+            pairs, faults, kw, writer, partial(self._answered, req, reply_type)
         )
-        return [item for items in chunks for item in items]
+
+    def _answered(
+        self, req: "_Request", reply_type: FrameType, ok: bool, payload
+    ) -> None:
+        """Reply callback of :meth:`ShardedQueryService.submit`, called by
+        the loop's read of the shard pipe.
+
+        The trace gets a ``coalesce`` span (submit to post), a ``shard``
+        span (post to reply) and, on success, a ``partition`` span: the
+        worker-reported decode time, placed at the tail of ``shard``
+        (queue wait first, then the build).
+        """
+        now = time.perf_counter()
+        handle = req.work
+        posted = now if handle.posted is None else handle.posted
+        trace = req.trace
+        trace.add_span("coalesce", req.t_submit, posted - req.t_submit)
+        trace.add_span("shard", posted, now - posted)
+        if not ok:
+            self._fail(req, payload)
+            return
+        items, meta = payload
+        worker_s = meta["worker_s"]
+        trace.add_span(
+            "partition", posted + max(0.0, now - posted - worker_s), worker_s
+        )
+        trace.meta["shards"] = [handle.shard]
+        self._finish(req, reply_type, EncodedItems(items))
+
+    def _route(self, req: "_Request") -> None:
+        gen, payload = req.gen, req.frame.payload
+        if not isinstance(payload, (list, tuple)) or len(payload) != 2:
+            raise ProtocolError("ROUTE payload must be [pairs, faults]")
+        pairs = decode_pairs(payload[0])
+        faults = decode_faults(payload[1])
+        if not pairs:
+            raise BadQueryError("empty pair list")
+        if gen.query_type is not FrameType.ROUTE:
+            raise _Unsupported(
+                f"this server holds a {gen.kind!r} artifact; it cannot "
+                "answer ROUTE queries"
+            )
+        self._validate(gen, pairs, faults)
+        self.stats.queries += len(pairs)
+        self.obs.counter("server.queries_total").inc(len(pairs))
+        self._arm_deadline(req)
+        router = gen.router
+
+        def answer():
+            return [
+                route_result_to_wire(r) for r in router.route_many(pairs, faults)
+            ]
+
+        self._on_thread(req, FrameType.ROUTE_REPLY, answer)
+
+    def _on_thread(self, req: "_Request", reply_type: FrameType, fn) -> None:
+        """Run ``fn`` on the blocking thread; its result is the reply
+        payload, sent from the future's done callback.  The wait for the
+        thread is the trace's ``coalesce`` span, the run its ``shard``."""
+
+        def timed():
+            return time.perf_counter(), fn()
+
+        req.t_submit = time.perf_counter()
+        req.work = self._loop.run_in_executor(self._blocking, timed)
+        req.work.add_done_callback(partial(self._thread_done, req, reply_type))
+
+    def _thread_done(self, req: "_Request", reply_type: FrameType, future):
+        if future.cancelled():
+            return
+        exc = future.exception()
+        if exc is not None:
+            self._fail(req, exc)
+            return
+        started, payload = future.result()
+        req.trace.add_span("coalesce", req.t_submit, started - req.t_submit)
+        req.trace.add_span("shard", started, time.perf_counter() - started)
+        self._finish(req, reply_type, payload)
+
+    def _run_task(self, req: "_Request", reply_type: FrameType, fn, *args):
+        """Answer ``req`` with ``await fn(*args)`` in a task (STATS and
+        RELOAD); the server keeps the task until it is done."""
+
+        async def answer():
+            try:
+                payload = await fn(*args)
+            except Exception as exc:
+                self._fail(req, exc)
+            else:
+                self._finish(req, reply_type, payload)
+
+        task = self._loop.create_task(answer())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    def _arm_deadline(self, req: "_Request") -> None:
+        req.timer = self._loop.call_later(self.deadline_s, self._deadline, req)
+
+    def _deadline(self, req: "_Request") -> None:
+        """``req`` missed its deadline: drop its work (a request still
+        waiting for its shard leaves the line; a posted one's answer
+        will be ignored) and answer ``DEADLINE``."""
+        if req.work is not None:
+            req.work.cancel()
+        self._error(
+            req, ErrorCode.DEADLINE,
+            f"request missed the {self.deadline_s}s deadline",
+        )
 
     def _validate(self, gen: _Generation, pairs, faults) -> None:
         if gen.n is not None:
@@ -564,86 +690,66 @@ class LabelServer:
                         f"fault edge {ei} out of range for m={gen.m}"
                     )
 
-    # ------------------------------------------------------------------
-    # Frame serving
-    # ------------------------------------------------------------------
-    async def _answer(
-        self, frame: Frame, trace: Optional[Trace] = None
-    ) -> tuple[FrameType, object]:
-        gen = self.generation
-        if frame.type is FrameType.PING:
-            return FrameType.PONG, gen.version
-        if frame.type is FrameType.STATS:
-            return FrameType.STATS_REPLY, await self._stats_payload(gen)
-        if frame.type is FrameType.RELOAD:
-            path = frame.payload
-            if path is not None and not isinstance(path, str):
-                raise BadQueryError("RELOAD payload must be None or a path")
-            old_v, new_v, kind = await self.reload(path)
-            return FrameType.RELOAD_REPLY, (old_v, new_v, kind)
-        if frame.type in (FrameType.CONNECTIVITY, FrameType.DISTANCE):
-            payload = frame.payload
-            if frame.type is FrameType.CONNECTIVITY:
-                if not isinstance(payload, (list, tuple)) or len(payload) != 3:
-                    raise ProtocolError("CONNECTIVITY payload must be "
-                                        "[pairs, faults, want_path]")
-                raw_pairs, raw_faults, want_path = payload
-                if not isinstance(want_path, bool):
-                    raise ProtocolError("want_path must be a bool")
-            else:
-                if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-                    raise ProtocolError("DISTANCE payload must be "
-                                        "[pairs, faults]")
-                raw_pairs, raw_faults = payload
-                want_path = None
-            pairs = decode_pairs(raw_pairs)
-            faults = decode_faults(raw_faults)
-            if not pairs:
-                raise BadQueryError("empty pair list")
-            if frame.type is not gen.query_type:
-                raise _Unsupported(
-                    f"this server holds a {gen.kind!r} artifact; it cannot "
-                    f"answer {frame.type.name} queries"
-                )
-            self._validate(gen, pairs, faults)
-            kw = {"want_path": want_path} if gen.kind == "sketch" else {}
-            self.stats.queries += len(pairs)
-            self.obs.counter("server.queries_total").inc(len(pairs))
-            items = await self._query_via_service(
-                gen, pairs, faults, kw, trace=trace
-            )
-            if frame.type is FrameType.CONNECTIVITY:
-                reply = FrameType.CONNECTIVITY_REPLY
-            else:
-                reply = FrameType.DISTANCE_REPLY
-            return reply, EncodedItems(items)
-        if frame.type is FrameType.ROUTE:
-            payload = frame.payload
-            if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-                raise ProtocolError("ROUTE payload must be [pairs, faults]")
-            pairs = decode_pairs(payload[0])
-            faults = decode_faults(payload[1])
-            if not pairs:
-                raise BadQueryError("empty pair list")
-            if gen.query_type is not FrameType.ROUTE:
-                raise _Unsupported(
-                    f"this server holds a {gen.kind!r} artifact; it cannot "
-                    "answer ROUTE queries"
-                )
-            self._validate(gen, pairs, faults)
-            self.stats.queries += len(pairs)
-            self.obs.counter("server.queries_total").inc(len(pairs))
+    def _finish(
+        self, req: "_Request", ftype: Optional[FrameType] = None, payload=None
+    ) -> None:
+        """Retire ``req``: send its one reply, or, with no ``ftype``, drop
+        it (its client went away) and cancel its work.
+
+        A second answer — one that lost the race with the deadline — is
+        ignored.  The ``send`` span covers encoding the frame and handing
+        it to the transport; the sealed trace goes to the request
+        histogram and the slow-query log.
+        """
+        if req.done:
+            return
+        req.done = True
+        if req.timer is not None:
+            req.timer.cancel()
+        if req.gen is not None:
+            req.gen.release()
+        frame, trace = req.frame, req.trace
+        if ftype is None:
+            if req.work is not None:
+                req.work.cancel()
+        else:
             t0 = time.perf_counter()
-            results = await asyncio.get_running_loop().run_in_executor(
-                self._blocking,
-                partial(gen.router.route_many, pairs, faults),
-            )
-            if trace is not None:
-                trace.add_span("shard", t0, time.perf_counter() - t0)
-            return FrameType.ROUTE_REPLY, [
-                route_result_to_wire(r) for r in results
-            ]
-        raise _Unsupported(f"server cannot answer {frame.type.name} frames")
+            try:
+                data = encode_frame(
+                    ftype, frame.request_id, payload, trace_id=frame.trace_id
+                )
+            except ProtocolError as exc:  # e.g. a reply beyond MAX_PAYLOAD
+                self._count_error(ErrorCode.BAD_FRAME)
+                data = encode_frame(
+                    FrameType.ERROR, frame.request_id,
+                    (int(ErrorCode.BAD_FRAME), str(exc)),
+                    trace_id=frame.trace_id,
+                )
+            req.conn.write(data)
+            trace.add_span("send", t0, time.perf_counter() - t0)
+        trace.finish()
+        self.obs.histogram("server.request_seconds").observe(trace.total_s)
+        self.slow_log.record(
+            trace, request_id=frame.request_id, frame=frame.type.name
+        )
+        req.conn.release(req)
+
+    def _fail(self, req: "_Request", exc: Exception) -> None:
+        """Answer ``req`` with the ``ERROR`` frame ``exc`` maps to."""
+        for kind, code in _ERROR_CODES:
+            if isinstance(exc, kind):
+                self._error(req, code, str(exc))
+                return
+        self._error(req, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+
+    def _error(self, req: "_Request", code: ErrorCode, message: str) -> None:
+        if not req.done:
+            self._count_error(code)
+            self._finish(req, FrameType.ERROR, (int(code), message))
+
+    def _count_error(self, code: ErrorCode) -> None:
+        self.stats.count_error(code)
+        self.obs.counter(f"server.errors.{code.name}").inc()
 
     async def _stats_payload(self, gen: _Generation) -> str:
         payload = {
@@ -665,15 +771,6 @@ class LabelServer:
             # worker histograms).
             service_stats, service_wire = await gen.service.astats_bundle()
             payload["service"] = service_stats.snapshot()
-        coalesced = {}
-        for key, coalescer in gen.coalescers.items():
-            coalesced[repr(dict(key))] = {
-                "chunks": coalescer.stats.chunks,
-                "queries": coalescer.stats.queries,
-                "max_chunk": coalescer.stats.max_chunk,
-                "mean_chunk": round(coalescer.stats.mean_chunk, 2),
-            }
-        payload["coalescers"] = coalesced
         # One uniform registry dump: front-door metrics + the service's
         # (worker registries merged exactly — same bucket family).
         merged = MetricsRegistry(enabled=self.metrics_enabled)
@@ -685,185 +782,152 @@ class LabelServer:
         payload["slow_queries"] = self.slow_log.snapshot()
         return json.dumps(payload, sort_keys=True)
 
-    async def _serve_frame(
-        self,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        sem: asyncio.Semaphore,
-        trace: Trace,
-    ) -> None:
-        gen = self.generation.acquire()
-        held = True
-        # Replies echo the trace id only when the request carried one;
-        # untraced clients see byte-identical pre-tracing frames.
-        echo = frame.trace_id
-        try:
-            try:
-                # RELOAD manages its own (much longer) timeline; every
-                # query/stat frame is deadline-bounded.
-                if frame.type is FrameType.RELOAD:
-                    # Reload drains the outgoing generation — the ref this
-                    # very frame holds on it would deadlock that drain.
-                    gen.release()
-                    held = False
-                    ftype, payload = await self._answer(frame, trace)
-                else:
-                    ftype, payload = await asyncio.wait_for(
-                        self._answer(frame, trace), timeout=self.deadline_s
-                    )
-                with trace.span("send"):
-                    await self._send(
-                        writer, write_lock, ftype, frame.request_id, payload,
-                        trace_id=echo,
-                    )
-            except asyncio.CancelledError:
-                raise
-            except ShardLostError as exc:
-                await self._send_error(
-                    writer, write_lock, frame.request_id,
-                    ErrorCode.SHARD_LOST, str(exc), trace_id=echo,
-                )
-            except asyncio.TimeoutError:
-                await self._send_error(
-                    writer, write_lock, frame.request_id, ErrorCode.DEADLINE,
-                    f"request missed the {self.deadline_s}s deadline",
-                    trace_id=echo,
-                )
-            except _Unsupported as exc:
-                await self._send_error(
-                    writer, write_lock, frame.request_id,
-                    ErrorCode.UNSUPPORTED, str(exc), trace_id=echo,
-                )
-            except BadQueryError as exc:
-                await self._send_error(
-                    writer, write_lock, frame.request_id,
-                    ErrorCode.BAD_QUERY, str(exc), trace_id=echo,
-                )
-            except ProtocolError as exc:
-                await self._send_error(
-                    writer, write_lock, frame.request_id,
-                    ErrorCode.BAD_FRAME, str(exc), trace_id=echo,
-                )
-            except Exception as exc:
-                await self._send_error(
-                    writer, write_lock, frame.request_id,
-                    ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}",
-                    trace_id=echo,
-                )
-        finally:
-            if held:
-                gen.release()
-            sem.release()
-            trace.finish()
-            self.obs.histogram("server.request_seconds").observe(trace.total_s)
-            self.slow_log.record(
-                trace, request_id=frame.request_id, frame=frame.type.name
-            )
-
-    async def _send(
-        self, writer, write_lock, ftype: FrameType, request_id: int, payload,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        data = encode_frame(ftype, request_id, payload, trace_id=trace_id)
-        with contextlib.suppress(ConnectionError, RuntimeError):
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-
-    async def _send_error(
-        self, writer, write_lock, request_id: int, code: ErrorCode,
-        message: str, trace_id: Optional[int] = None,
-    ) -> None:
-        self.stats.count_error(code)
-        self.obs.counter(f"server.errors.{code.name}").inc()
-        await self._send(
-            writer, write_lock, FrameType.ERROR, request_id,
-            (int(code), message), trace_id=trace_id,
-        )
-
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+    def _connection_made(self, conn: "_Connection") -> None:
+        self._conns.add(conn)
         self.stats.connections_total += 1
         self.stats.connections_open += 1
         self.obs.counter("server.connections_total").inc()
         self.obs.gauge("server.connections_open").inc()
-        decoder = FrameDecoder()
-        write_lock = asyncio.Lock()
-        sem = asyncio.Semaphore(self.max_inflight)
-        inflight: set = set()
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                t_dec = time.perf_counter()
-                try:
-                    decoder.feed(data)
-                    frames = list(decoder.frames())
-                except ProtocolError as exc:
-                    self.stats.protocol_errors += 1
-                    self.obs.counter("server.protocol_errors").inc()
-                    await self._send_error(
-                        writer, write_lock, 0, ErrorCode.BAD_FRAME, str(exc)
-                    )
-                    break  # the stream is garbage: close the connection
-                dec_dur = time.perf_counter() - t_dec
-                for frame in frames:
-                    self.stats.frames += 1
-                    self.obs.counter("server.frames_total").inc()
-                    # Every request gets a trace: the client's id when
-                    # the frame carried one, a freshly minted one
-                    # otherwise (so the slow-query log covers untraced
-                    # clients too).  Birth is backdated to the read so
-                    # the decode span sits at offset zero.
-                    trace = Trace(frame.trace_id)
-                    trace.t0 = t_dec
-                    trace.add_span("decode", t_dec, dec_dur)
-                    # Backpressure: stop consuming frames while
-                    # max_inflight requests are unanswered.
-                    await sem.acquire()
-                    req = asyncio.ensure_future(
-                        self._serve_frame(frame, writer, write_lock, sem, trace)
-                    )
-                    inflight.add(req)
-                    req.add_done_callback(inflight.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels connection tasks; ending cleanly
-            # here keeps asyncio's stream-protocol callback quiet (it
-            # retrieves task.exception() on completed handler tasks).
-            pass
-        finally:
-            # A dropped client cancels its pending requests — the
-            # coalescer scrubs them from pending groups (see
-            # AsyncQueryCoalescer); dispatched work completes harmlessly.
-            for req in list(inflight):
-                req.cancel()
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            self.stats.connections_open -= 1
-            self.obs.gauge("server.connections_open").dec()
-            try:
-                with contextlib.suppress(ConnectionError):
-                    writer.close()
-                    await writer.wait_closed()
-            finally:
-                # Stay in _conn_tasks until fully done: aclose() must
-                # be able to await a handler parked on wait_closed(),
-                # else it dies pending when the loop closes.
-                self._conn_tasks.discard(task)
+
+    def _connection_lost(self, conn: "_Connection") -> None:
+        """A dropped client abandons its unanswered requests: those still
+        waiting for their shard are scrubbed from its line, posted work
+        completes harmlessly."""
+        self._conns.discard(conn)
+        for req in list(conn.requests):
+            self._finish(req)
+        self.stats.connections_open -= 1
+        self.obs.gauge("server.connections_open").dec()
+
+    def _protocol_error(self, conn: "_Connection", exc: ProtocolError) -> None:
+        """The stream is garbage: one ``BAD_FRAME`` error, then close."""
+        self.stats.protocol_errors += 1
+        self.obs.counter("server.protocol_errors").inc()
+        self._count_error(ErrorCode.BAD_FRAME)
+        conn.write(
+            encode_frame(
+                FrameType.ERROR, 0, (int(ErrorCode.BAD_FRAME), str(exc))
+            )
+        )
+        conn.transport.close()
 
 
 class _Unsupported(RuntimeError):
     """This server's artifact cannot answer the requested frame type."""
+
+
+#: exception type -> the ``ERROR`` code a request failing with it gets
+#: (anything else is ``INTERNAL``).
+_ERROR_CODES = (
+    (ShardLostError, ErrorCode.SHARD_LOST),
+    (_Unsupported, ErrorCode.UNSUPPORTED),
+    (BadQueryError, ErrorCode.BAD_QUERY),
+    (ProtocolError, ErrorCode.BAD_FRAME),
+)
+
+
+class _Request:
+    """One frame from its decode to its reply: ``work`` is what answers
+    it (the service's request handle, the blocking thread's future or
+    the STATS task), cancelled when the deadline ``timer`` fires or the
+    client goes away; ``gen`` is the generation ref it holds until
+    ``done``."""
+
+    __slots__ = (
+        "conn", "frame", "trace", "gen", "timer", "work", "t_submit", "done"
+    )
+
+    def __init__(self, conn: "_Connection", frame: Frame, trace: Trace, gen):
+        self.conn = conn
+        self.frame = frame
+        self.trace = trace
+        self.gen = gen
+        self.timer = None
+        self.work = None
+        self.t_submit = 0.0
+        self.done = False
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, one reply per frame out.
+
+    Reading stops while ``max_inflight`` requests are unanswered or the
+    transport is paused for writing; once both clear, the frames already
+    buffered are started first, then reading resumes.
+    """
+
+    def __init__(self, server: LabelServer):
+        self.server = server
+        self.transport = None
+        self.decoder = FrameDecoder()
+        self.requests: set = set()  # unanswered _Requests
+        self.held = False  # reading paused by the two limits above
+        self.write_paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connection_made(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connection_lost(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.decoder.feed(data)
+        self.pump()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.hold()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.resume()
+
+    def pump(self) -> None:
+        """Start buffered frames while there is room, each timed by its
+        own decode; hold reading once the room runs out."""
+        server = self.server
+        frames = self.decoder.frames()
+        limit = server.max_inflight
+        while len(self.requests) < limit and not self.write_paused:
+            t0 = time.perf_counter()
+            try:
+                frame = next(frames, None)
+            except ProtocolError as exc:
+                server._protocol_error(self, exc)
+                return
+            if frame is None:
+                return
+            server._serve(self, frame, t0, time.perf_counter() - t0)
+        self.hold()
+
+    def hold(self) -> None:
+        if not self.held:
+            self.held = True
+            self.transport.pause_reading()
+
+    def resume(self) -> None:
+        if (
+            self.held
+            and not self.write_paused
+            and len(self.requests) < self.server.max_inflight
+            and not self.transport.is_closing()  # lost, or closed on garbage
+        ):
+            self.held = False
+            self.transport.resume_reading()
+            self.pump()
+
+    def release(self, req: _Request) -> None:
+        """``req`` is answered or dropped: its slot is free again."""
+        self.requests.discard(req)
+        self.resume()
+
+    def write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
 
 
 def run_server(

@@ -6,18 +6,17 @@ Production query serving on top of the immutable packed label stores
 * :mod:`repro.serving.partition_cache` — canonical fault-set keys and
   an LRU of memoized ``decode_partition`` results, so all same-fault
   queries in a stream cost one decode;
-* :mod:`repro.serving.coalescer` — the asyncio request coalescer that
-  groups single ``(s, t, F)`` queries into fault-set chunks for the
-  network server;
 * :mod:`repro.serving.shards` — a process-pool service that shares
   the packed stores with every worker (fork copy-on-write, or
   spawn-safe workers that mmap a :mod:`repro.store` snapshot) and fans
-  chunks out by fault-set hash, with a :class:`ServiceStats` snapshot;
-  its ``query_many`` groups, chunks and answers a whole stream in
-  request order (``num_shards=0`` runs it in process).
+  queries out by fault-set hash, with a :class:`ServiceStats` snapshot.
+  Its ``query_many`` groups, chunks and answers a whole stream in
+  request order (``num_shards=0`` runs it in process); its ``submit``
+  takes one request at a time from the network server's event loop and
+  group-commits them per home shard: a request goes at once to an idle
+  shard, and requests that arrive while it works go as one batch.
 """
 
-from repro.serving.coalescer import AsyncQueryCoalescer, ChunkStats
 from repro.serving.partition_cache import (
     CacheStats,
     PartitionCache,
@@ -27,9 +26,7 @@ from repro.serving.partition_cache import (
 from repro.serving.shards import ServiceStats, ShardedQueryService, shard_of
 
 __all__ = [
-    "AsyncQueryCoalescer",
     "CacheStats",
-    "ChunkStats",
     "PartitionCache",
     "ServiceStats",
     "ShardedQueryService",

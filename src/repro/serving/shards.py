@@ -15,23 +15,26 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   without a snapshot (and with ``num_shards=0``) it degrades to
   in-process shard caches — same answers, no processes;
 * talks to each worker over **its own duplex pipe** and nothing else:
-  a chunk goes parent → pipe → worker → pipe → parent, with no helper
+  a batch goes parent → pipe → worker → pipe → parent, with no helper
   thread and no shared queue.  Blocking callers (:meth:`query_many`,
   :meth:`stats`) read the pipes in their own thread; once
   :meth:`bind_loop` hands them to an asyncio loop, the loop reads them
-  (``loop.add_reader``) and :meth:`start_chunk` resolves futures on it,
-  with the chunk's answers already encoded as reply items when the
-  caller passes an answer writer of :mod:`repro.server.protocol`.
-  A worker that dies shows up as EOF on its pipe: the chunks in flight
-  on that shard fail with :class:`ShardLostError` at once and the
-  worker is respawned; one that hangs past ``chunk_timeout`` is killed
-  and replaced the same way;
-* routes every coalesced chunk by the **hash of its canonical fault
-  set**, so all queries about one failure state land on the same
-  worker and hit that worker's
-  :class:`~repro.serving.partition_cache.PartitionCache`;
+  (``loop.add_reader``) and :meth:`submit` answers each request through
+  its reply callback, with the answers already encoded as reply items
+  when the caller passes an answer writer of
+  :mod:`repro.server.protocol`.  A worker that dies shows up as EOF on
+  its pipe: the batch in flight on that shard fails with
+  :class:`ShardLostError` at once and the worker is respawned; one that
+  hangs past ``chunk_timeout`` is killed and replaced the same way;
+* **group-commits** submitted requests per home shard: a request goes
+  out at once to an idle shard; the ones that arrive while it works
+  (any fault sets, up to ``max_chunk`` pairs) go as one batch message
+  when its reply is read — no wait timer;
+* routes every request by the **hash of its canonical fault set**, so
+  all queries about one failure state land on the same worker and hit
+  that worker's :class:`~repro.serving.partition_cache.PartitionCache`;
 * **replicates pathologically hot fault sets**: when one key takes
-  more than ``hot_key_share`` of all traffic, its chunks fan out
+  more than ``hot_key_share`` of all traffic, its requests fan out
   round-robin over *every* shard instead of pinning its hash owner —
   each worker's cache builds its own replica of the partition (cheap:
   one decode per worker) and the hot key stops serializing the fleet;
@@ -87,24 +90,33 @@ class ShardLostError(RuntimeError):
     """A shard worker died or stopped answering with a message in flight."""
 
 
-def _serve_chunk(cache: PartitionCache, pairs, faults, kw, writer=None):
-    """Serve one chunk off the worker's partition cache.
+def _serve_batch(cache: PartitionCache, entries) -> list:
+    """Serve each ``(pairs, faults, kw, writer)`` entry of one batch, in
+    order, off the worker's partition cache.
 
-    Returns ``(answers, meta)``.  With a ``writer`` (one of the answer
-    writers of :mod:`repro.server.protocol`) the answers go back as the
-    encoded reply items it makes, so the parent only splices bytes;
-    without one they are the native answers, bit-identical to a direct
-    ``query_many``.  ``meta`` carries the worker-side timing and pid
-    back to the parent so per-request traces can show a ``partition``
-    span; ``worker_s`` times the partition answer alone, encoding
-    excluded.
+    Returns one ``(True, (answers, meta))`` or ``(False, exception)``
+    per entry, so an entry that raises fails alone.  With a ``writer``
+    (an answer writer of :mod:`repro.server.protocol`) the answers go
+    back as the encoded reply items it makes, so the parent only splices
+    bytes; without one they are the native answers, bit-identical to a
+    direct ``query_many``.  ``meta`` carries the pid and ``worker_s``,
+    the partition answer's time with encoding excluded (a request
+    trace's ``partition`` span).
     """
-    t0 = time.perf_counter()
-    answers = cache.query_many(pairs, faults, **kw)
-    worker_s = time.perf_counter() - t0
-    if writer is not None:
-        answers = writer(answers)
-    return answers, {"worker_s": worker_s, "pid": os.getpid()}
+    replies = []
+    for pairs, faults, kw, writer in entries:
+        try:
+            t0 = time.perf_counter()
+            answers = cache.query_many(pairs, faults, **kw)
+            worker_s = time.perf_counter() - t0
+            if writer is not None:
+                answers = writer(answers)
+        except Exception as exc:
+            replies.append((False, exc))
+        else:
+            meta = {"worker_s": worker_s, "pid": os.getpid()}
+            replies.append((True, (answers, meta)))
+    return replies
 
 
 def _cache_stats(cache: PartitionCache) -> tuple:
@@ -129,7 +141,7 @@ def shard_of(key: FaultKey, num_shards: int) -> int:
 
 
 #: what a worker does with each message ``(op, args)`` it reads.
-_OPS = {"chunk": _serve_chunk, "stats": _cache_stats}
+_OPS = {"batch": _serve_batch, "stats": _cache_stats}
 
 
 def _worker_main(conn, source, cache_capacity: int, metrics: bool) -> None:
@@ -231,6 +243,35 @@ class _Worker:
         self.wbuf = bytearray()
 
 
+class _Request:
+    """One query chunk for a shard worker and the ``reply`` callback for
+    its answer: ``shard`` is its home shard, ``posted`` the
+    ``perf_counter`` instant its batch went out (``None`` while it waits
+    in ``queue``, its shard's waiting line)."""
+
+    __slots__ = (
+        "pairs", "faults", "kw", "writer", "reply", "shard", "posted", "queue"
+    )
+
+    def __init__(self, pairs, faults, kw, writer, reply, shard, queue=None):
+        self.pairs = pairs
+        self.faults = faults
+        self.kw = kw
+        self.writer = writer
+        self.reply = reply
+        self.shard = shard
+        self.posted = None
+        self.queue = queue
+
+    def cancel(self) -> None:
+        """Drop the request: scrubbed from its shard's line while it
+        waits, its answer ignored once posted; ``reply`` is never called."""
+        self.reply = None
+        if self.queue is not None:
+            self.queue.remove(self)
+            self.queue = None
+
+
 @dataclass
 class ServiceStats:
     """One snapshot of a :class:`ShardedQueryService`'s counters."""
@@ -296,7 +337,7 @@ class _Tally:
 
 
 class ShardedQueryService:
-    """Fan coalesced fault-set chunks out over per-shard processes.
+    """Fan fault-set query chunks out over per-shard processes.
 
     ``scheme`` is anything with ``decode_partition`` (see
     :class:`~repro.serving.partition_cache.PartitionCache`); its packed
@@ -331,13 +372,13 @@ class ShardedQueryService:
         of going to the hash owner only (``None`` disables).
 
         ``chunk_timeout`` (seconds) bounds how long :meth:`query_many`
-        and :meth:`start_chunk` wait for any single chunk result; a
-        worker that takes longer (e.g. it hangs) is killed and
-        respawned, and a :class:`ShardLostError` surfaces to the caller
-        — later chunks go to the fresh worker.  A worker that *dies* is
-        noticed at once, by EOF on its pipe.  The network server runs
-        with a short timeout; the in-process benches keep the 600 s
-        default.
+        and :meth:`submit` wait for any single reply (a chunk, or a
+        batch of requests); a worker that takes longer (e.g. it hangs)
+        is killed and respawned, and a :class:`ShardLostError` surfaces
+        to the caller — later requests go to the fresh worker.  A
+        worker that *dies* is noticed at once, by EOF on its pipe.  The
+        network server runs with a short timeout; the in-process benches
+        keep the 600 s default.
 
         ``snapshot`` names a :mod:`repro.store` snapshot file of the
         scheme: workers then *open the snapshot themselves* instead of
@@ -437,6 +478,8 @@ class ShardedQueryService:
             self._worker_args = (source, cache_capacity, metrics)
             self._workers = [self._spawn(shard, 0) for shard in range(num_shards)]
         self._tally.per_shard = [0] * self.num_shards
+        #: per shard, submitted requests waiting for the batch in flight
+        self._waiting = [deque() for _ in range(self.num_shards)]
 
     @classmethod
     def from_snapshot(
@@ -499,23 +542,29 @@ class ShardedQueryService:
 
         The old process is SIGKILLed (a no-op once it is dead, the cure
         when it hangs) and reaped later; every message still waiting for
-        its reply fails with :class:`ShardLostError`.
+        its reply fails with :class:`ShardLostError` — after the fresh
+        worker is in place, which takes the requests that were only
+        waiting (they lose nothing) and any the failures prompt.
         """
         self._unhook(w)
         w.proc.kill()
-        jobs, w.jobs = w.jobs, deque()
-        for job in jobs:
-            job(False, ShardLostError(f"shard {w.shard} {reason}"))
         self._workers[w.shard] = self._spawn(w.shard, w.epoch + 1)
         self._dead = _reap(self._dead + [w.proc], 0.0)
         self._tally.pool_restarts += 1
+        if self._waiting[w.shard]:
+            self._commit(w.shard)
+        jobs, w.jobs = w.jobs, deque()
+        for job in jobs:
+            job(False, ShardLostError(f"shard {w.shard} {reason}"))
 
     def _read(self, w: _Worker) -> None:
         """Take one reply off ``w``'s pipe and hand it to its job.
 
         One message per call: a bound loop calls this on every readable
         event (epoll is level-triggered, so a second queued reply fires
-        again).  EOF or a reset means the worker died.
+        again).  EOF or a reset means the worker died.  A reply that
+        frees the shard posts its waiting requests before it is handed
+        out, so the worker decodes while the loop writes replies.
         """
         try:
             ok, payload = w.conn.recv()
@@ -524,7 +573,10 @@ class ShardedQueryService:
             return
         except Exception as exc:  # a reply that does not unpickle
             ok, payload = False, exc
-        w.jobs.popleft()(ok, payload)
+        job = w.jobs.popleft()
+        if not w.jobs and self._waiting[w.shard]:
+            self._commit(w.shard)
+        job(ok, payload)
 
     def _send(self, w: _Worker, data: bytes) -> bool:
         """Write ``data`` to ``w``'s pipe; ``False`` if the worker is gone.
@@ -588,21 +640,27 @@ class ShardedQueryService:
                 w.jobs.pop()
             self._replace(w, "lost its worker")
 
-    def _chunk_post(
-        self, shard: int, pairs, faults, kw, done: Callable, writer=None
-    ) -> tuple:
-        """The ``(shard, msg, job)`` post of one chunk: its worker time
-        feeds the ``shard.worker_seconds`` histogram, then the reply goes
-        to ``done(ok, (answers, meta) or error)``."""
+    @staticmethod
+    def _batch_msg(batch: Sequence[_Request]) -> tuple:
+        """The worker message that serves ``batch`` (:func:`_serve_batch`)."""
+        return "batch", ([(r.pairs, r.faults, r.kw, r.writer) for r in batch],)
 
-        def job(ok, payload):
-            if ok:
-                self.obs.histogram("shard.worker_seconds").observe(
-                    payload[1]["worker_s"]
-                )
-            done(ok, payload)
+    def _answer(self, batch: Sequence[_Request], ok: bool, payload) -> None:
+        """Hand a batch's reply to its requests.
 
-        return shard, ("chunk", (pairs, faults, kw, writer)), job
+        ``payload`` holds one ``(ok, result)`` per request, or, when the
+        whole message failed, is the error every request gets.  Worker
+        time feeds the ``shard.worker_seconds`` histogram, one
+        observation per answered request, dropped ones included.
+        """
+        replies = payload if ok else [(False, payload)] * len(batch)
+        hist = self.obs.histogram("shard.worker_seconds")
+        for req, (req_ok, result) in zip(batch, replies):
+            if req_ok:
+                hist.observe(result[1]["worker_s"])
+            reply, req.reply = req.reply, None
+            if reply is not None:
+                reply(req_ok, result)
 
     def _call_sync(self, posts: Sequence[tuple]) -> None:
         """Run ``(shard, msg, job)`` posts to completion in this thread.
@@ -648,8 +706,8 @@ class ShardedQueryService:
         """Hand the shard pipes to ``loop`` (call on the loop's thread).
 
         From then on the loop reads every reply (``loop.add_reader``)
-        and makes every send; :meth:`start_chunk` and
-        :meth:`astats_bundle` are the entry points.  A worker's death is
+        and makes every send; :meth:`submit` and :meth:`astats_bundle`
+        are the entry points.  A worker's death is
         seen the moment its EOF arrives, and the shard is respawned
         without waiting for a chunk to time out.  The blocking calls
         refuse pipes a loop owns.  No-op in local mode.
@@ -667,13 +725,14 @@ class ShardedQueryService:
         return self.query_many([(s, t)], faults, **kw)[0]
 
     def _shard_for(self, key: FaultKey, chunk_size: int) -> int:
-        """Shard of one chunk: hash owner, or round-robin for hot keys.
+        """Shard of one chunk or request: hash owner, or round-robin for
+        hot keys.
 
         Traffic shares are tracked per canonical key (only while the
         feature is enabled, and pruned to :data:`_HOT_TRACK_LIMIT` —
         the coldest keys are dropped, never the hot ones); once a key
         crosses ``hot_key_share`` of all queries it is (stickily)
-        marked hot and its chunks rotate over every shard — each
+        marked hot and its queries rotate over every shard — each
         shard's partition cache builds its own replica, so a single
         pathologically hot fault set stops serializing one worker.
         """
@@ -713,6 +772,11 @@ class ShardedQueryService:
             return [0] * self.num_shards
         return [len(w.jobs) for w in self._workers]
 
+    @property
+    def pending(self) -> int:
+        """Submitted requests still waiting for their shard (all shards)."""
+        return sum(len(queue) for queue in self._waiting)
+
     def query_many(
         self, pairs: Sequence[tuple[int, int]], faults=(), **kw
     ) -> list:
@@ -746,10 +810,13 @@ class ShardedQueryService:
                 chunk_pairs = [pairs[qi] for qi in chunk]
                 self._count_chunk(shard, len(chunk))
                 if self._workers is not None:
+                    req = _Request(
+                        chunk_pairs, list(key), kw, None, partial(fill, chunk),
+                        shard,
+                    )
                     posts.append(
-                        self._chunk_post(
-                            shard, chunk_pairs, list(key), kw, partial(fill, chunk)
-                        )
+                        (shard, self._batch_msg([req]),
+                         partial(self._answer, [req]))
                     )
                 else:
                     answers = self._local[shard].query_many(
@@ -764,53 +831,74 @@ class ShardedQueryService:
         self._tally.queries += len(pairs)
         return results
 
-    def start_chunk(
+    def submit(
         self,
         pairs: Sequence[tuple[int, int]],
         faults: Sequence[int],
-        kw: Optional[dict] = None,
-        writer: Optional[Callable] = None,
-    ):
-        """Dispatch ONE already-coalesced chunk from the bound loop.
+        kw: dict,
+        writer: Optional[Callable],
+        reply: Callable,
+    ) -> _Request:
+        """Queue one request on its home shard from the bound loop.
 
-        The asyncio front door (:mod:`repro.server.server`) coalesces
-        and chunks requests itself; this is its non-blocking entry
-        point (:meth:`bind_loop` first).  The chunk is routed like
-        :meth:`query_many` routes it (hash owner, or round-robin when
-        the key is hot) and written to that shard's pipe.  Returns
-        ``(shard, future)``: the future resolves on the loop to
-        ``(answers, meta)`` (``meta`` is the worker-side timing dict of
-        :func:`_serve_chunk` — the ``partition`` span of a request
-        trace).  ``writer`` is an answer writer of
-        :mod:`repro.server.protocol`: the worker runs it, so
-        ``answers`` are encoded reply items, one ``bytes`` per pair
-        (native answers without one).
-
-        The service bounds the chunk itself: the future fails with
-        :class:`ShardLostError` as soon as the worker's death is read,
-        and a worker that has not answered within ``chunk_timeout`` is
-        killed and respawned (:meth:`restart_shard`), which fails it the
-        same way — one loop timer per chunk, cancelled by the reply.
+        The asyncio front door (:mod:`repro.server.server`) hands every
+        query frame here (:meth:`bind_loop` first).  The request is
+        routed like a :meth:`query_many` chunk, then group-committed:
+        posted within this call if its shard has nothing in flight,
+        otherwise sent with the shard's next batch (:meth:`_commit`).
+        ``reply(ok, payload)`` is called once, on the loop, with
+        ``(answers, meta)`` (see :func:`_serve_batch`) or the error —
+        the worker's exception, or :class:`ShardLostError` if the worker
+        dies or hangs past ``chunk_timeout`` with the batch in flight.
+        ``writer`` is an answer writer of :mod:`repro.server.protocol`
+        (the worker runs it: ``answers`` are encoded reply items) or
+        ``None`` for native answers.  Returns the request, whose
+        ``cancel()`` drops it.
         """
-        if self._loop is None:
-            raise RuntimeError("start_chunk needs worker shards and bind_loop()")
+        if self._loop is None or self._workers is None:
+            raise RuntimeError("submit needs worker shards and bind_loop()")
         key = canonical_fault_key(faults)
         pairs = list(pairs)
         shard = self._shard_for(key, len(pairs))
-        self._count_chunk(shard, len(pairs))
-        self._tally.queries += len(pairs)
-        future = self._loop.create_future()
-        timer = None
+        queue = self._waiting[shard]
+        req = _Request(pairs, list(key), kw, writer, reply, shard, queue)
+        queue.append(req)
+        if not self._workers[shard].jobs:
+            self._commit(shard)
+        return req
 
-        def done(ok, payload):
+    def _commit(self, shard: int) -> None:
+        """Post the shard's waiting requests, in arrival order and up to
+        ``max_chunk`` pairs (at least one request: none is split), as one
+        batch message; ``server.coalesce_chunk_size`` observes its size.
+        One loop timer per batch, cancelled by the reply, restarts a
+        worker silent for ``chunk_timeout`` (:meth:`restart_shard`).
+        """
+        queue = self._waiting[shard]
+        batch = [queue.popleft()]
+        size = len(batch[0].pairs)
+        while queue and size + len(queue[0].pairs) <= self.max_chunk:
+            batch.append(queue.popleft())
+            size += len(batch[-1].pairs)
+        posted = time.perf_counter()
+        for req in batch:
+            req.posted = posted
+            req.queue = None
+            self._count_chunk(shard, len(req.pairs))
+        self._tally.queries += size
+        self.obs.histogram("server.coalesce_chunk_size").observe(len(batch))
+        timer = None
+        answered = False
+
+        def job(ok, payload):
+            nonlocal answered
+            answered = True
             if timer is not None:
                 timer.cancel()
-            _settle(future, ok, payload)
+            self._answer(batch, ok, payload)
 
-        self._post(
-            *self._chunk_post(shard, pairs, list(key), kw or {}, done, writer)
-        )
-        if not future.done():
+        self._post(shard, self._batch_msg(batch), job)
+        if not answered:
             # The epoch is read after the post, which may have replaced
             # a dead worker: the timer is about the one holding the job.
             timer = self._loop.call_later(
@@ -819,7 +907,6 @@ class ShardedQueryService:
                 shard,
                 self._workers[shard].epoch,
             )
-        return shard, future
 
     def worker_pids(self) -> list[int]:
         """Live worker process ids, one per shard (empty in local mode).
@@ -842,7 +929,8 @@ class ShardedQueryService:
 
         A worker that *dies* is replaced as soon as its EOF is read;
         this is for one that hangs.  Its in-flight messages fail with
-        :class:`ShardLostError`.  ``epoch`` (from :meth:`shard_epoch`,
+        :class:`ShardLostError`; requests still waiting for the shard go
+        to the fresh worker.  ``epoch`` (from :meth:`shard_epoch`,
         read at dispatch time) makes concurrent failure reports
         idempotent: only a report about the current worker restarts it.
         Returns whether a restart actually happened.
@@ -979,8 +1067,8 @@ class ShardedQueryService:
         other shards' pipe ends, so it may never read EOF.  Every worker
         gets SIGTERM and, after :data:`_STOP_GRACE_S`, SIGKILL — so
         ``close()`` returns in bounded time with every worker process
-        (replaced ones included) reaped.  Messages still in flight fail
-        with :class:`ShardLostError`.
+        (replaced ones included) reaped.  Messages still in flight, and
+        requests still waiting, fail with :class:`ShardLostError`.
         """
         if self._workers is None:
             return
@@ -998,6 +1086,13 @@ class ShardedQueryService:
             for job in w.jobs:
                 job(False, ShardLostError(f"shard {w.shard} closed"))
             w.jobs.clear()
+        for shard, queue in enumerate(self._waiting):
+            waiting = list(queue)
+            queue.clear()
+            for req in waiting:
+                req.queue = None
+            lost = ShardLostError(f"shard {shard} closed")
+            self._answer(waiting, False, lost)
 
     def __enter__(self) -> "ShardedQueryService":
         return self

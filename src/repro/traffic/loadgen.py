@@ -16,7 +16,7 @@ The pair/fault mix comes from :mod:`repro.traffic.workloads`
 (:func:`~repro.traffic.workloads.uniform_pairs` by default), so the
 load shape matches the rest of the traffic stack.  Requests cycle
 through a small pool of fault sets: distinct enough to exercise the
-shard fan-out, repetitive enough that the server's coalescer and
+shard fan-out, repetitive enough that the server's shard batches and
 partition caches see realistic reuse.
 
 Everything is stdlib + the repo's own client; the generator runs

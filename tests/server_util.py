@@ -4,7 +4,8 @@ Blocking test code (sync clients, raw sockets) needs a live server
 without owning the event loop, so the harness runs the server's
 asyncio loop on a daemon thread and exposes thread-safe entry points.
 Async tests don't need this — they create the server inside their own
-``asyncio.run``.
+``asyncio.run``.  :func:`submit_future` drives a loop-bound
+:class:`~repro.serving.shards.ShardedQueryService` directly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,26 @@ import asyncio
 import threading
 
 from repro.server import LabelServer
+
+
+def submit_future(service, pairs, faults, kw=None, writer=None):
+    """``service.submit(...)`` with an asyncio future for its reply.
+
+    Returns ``(handle, future)``: the future resolves to ``(answers,
+    meta)`` or raises the request's error.  Call it on the loop the
+    service is bound to.
+    """
+    future = asyncio.get_running_loop().create_future()
+
+    def reply(ok, payload):
+        if future.done():
+            return
+        if ok:
+            future.set_result(payload)
+        else:
+            future.set_exception(payload)
+
+    return service.submit(pairs, faults, kw or {}, writer, reply), future
 
 
 class ServerThread:
@@ -75,6 +96,11 @@ class ServerThread:
     @property
     def server(self) -> LabelServer:
         return self._server
+
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        """The server's event loop (touch it only through its thread)."""
+        return self._loop
 
     def run(self, coro, timeout: float = 120.0):
         """Run a coroutine on the server's loop; return its result."""

@@ -269,3 +269,38 @@ def test_rooted_tree_foreign_subtree_falls_back_to_reference():
     assert fast.vertices == ref.vertices
     assert fast.tree_edge_indices == ref.tree_edge_indices
     assert fast.depth == ref.depth
+
+
+#: the exact (non-sketch) schemes, built on the path ``grid_graph(1, 8)``
+OUT_OF_RANGE_SCHEMES = [
+    ("forest", lambda g: ForestConnectivityScheme(g)),
+    ("cycle_space", lambda g: CycleSpaceConnectivityScheme(g, 2, seed=3)),
+    ("distance", lambda g: DistanceLabelScheme(g, f=2, k=2, seed=3)),
+]
+
+
+@pytest.mark.parametrize("bad", [-1, "m"])
+@pytest.mark.parametrize(
+    "name,make", OUT_OF_RANGE_SCHEMES, ids=[s[0] for s in OUT_OF_RANGE_SCHEMES]
+)
+def test_out_of_range_fault_ids_rejected(name, make, bad):
+    """An edge id outside 0..m-1 is an error, never a real edge.
+
+    On the path (m = 7) list indexing would wrap -1 onto edge 6, the
+    cut between the pair's ends, and id m would raise a bare IndexError
+    or, in the distance scheme, go unnoticed.
+    """
+    g = generators.grid_graph(1, 8)
+    scheme = make(g)
+    ei = g.m if bad == "m" else bad
+    calls = [
+        lambda: scheme.query_many([(0, 7)], [ei]),
+        lambda: scheme.query_many([(0, 7)], [[ei]]),
+        lambda: scheme.query(0, 7, [ei]),
+        lambda: scheme.decode_partition([ei]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+    # the real cut still answers
+    assert scheme.query_many([(0, 7)], [g.m - 1])[0] in (False, math.inf)

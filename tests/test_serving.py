@@ -1,4 +1,4 @@
-"""Serving-layer correctness: caches, coalescers and shards.
+"""Serving-layer correctness: caches, batching and shards.
 
 The acceptance bar mirrors the batched-engine one: everything the
 serving layer answers must be **bit-identical** to the cold decode path
@@ -24,11 +24,11 @@ from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.oracles import ConnectivityOracle
 from repro.serving import (
-    AsyncQueryCoalescer,
     PartitionCache,
     ShardedQueryService,
     canonical_fault_key,
 )
+from tests.server_util import submit_future
 
 FAMILIES = [
     ("random", lambda: generators.random_connected_graph(72, extra_edges=100, seed=21)),
@@ -174,7 +174,7 @@ def test_cache_rejects_unsupported_backends():
 
 
 # ----------------------------------------------------------------------
-# Coalescer
+# Batching: query_many chunks, submit's group commit
 # ----------------------------------------------------------------------
 def test_local_service_orders_and_bounds_chunks():
     graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
@@ -192,139 +192,202 @@ def test_local_service_orders_and_bounds_chunks():
     assert stats.queries == 90
 
 
+# The server's coalescing lives in ``ShardedQueryService.submit``: group
+# commit per home shard (a request goes at once to an idle shard; the
+# ones that arrive while it works go as one batch when its reply is
+# read).  The tests below keep the names of the AsyncQueryCoalescer
+# tests they grew from and pin the same behaviours on ``submit``.
+def _coalescing_service(scheme, **kw):
+    """Fork workers (they inherit the scheme) with no hot-key rotation."""
+    return ShardedQueryService(scheme, num_shards=2, hot_key_share=None, **kw)
+
+
+def _recording_posts(svc):
+    """Record the pairs of every batch ``svc`` posts, one list per
+    request of the batch."""
+    seen = []
+    post = svc._post
+
+    def recording(shard, msg, job):
+        if msg[0] == "batch":
+            seen.append([list(entry[0]) for entry in msg[1][0]])
+        post(shard, msg, job)
+
+    svc._post = recording
+    return seen
+
+
 def test_async_coalescer_size_and_timer_paths():
+    """Singles submitted in a burst are answered exactly like
+    ``query_many``; each batch waits for its shard's previous reply (the
+    commit-on-reply path that replaced the flush timer) and holds at
+    most ``max_chunk`` pairs (the size path)."""
     graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
     scheme = SketchConnectivityScheme(graph, seed=5)
     pairs, per = _repeated_fault_stream(graph, 40, 3, 4, seed=29)
     cold = scheme.query_many(pairs, per)
 
-    async def drive():
-        async def backend(chunk_pairs, faults):
-            return scheme.query_many(chunk_pairs, faults)
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())
+        futures = [submit_future(svc, [p], F)[1] for p, F in zip(pairs, per)]
+        results = await asyncio.gather(*futures)
+        assert svc.pending == 0  # gather resolved => everything dispatched
+        return [answers[0] for answers, _meta in results]
 
-        ac = AsyncQueryCoalescer(backend, max_chunk=8, max_delay=0.001)
-        results = await asyncio.gather(
-            *[ac.query(s, t, F) for (s, t), F in zip(pairs, per)]
-        )
-        assert ac.pending == 0  # gather resolved => everything dispatched
-        await ac.aclose()
-        return list(results)
+    with _coalescing_service(scheme, max_chunk=8) as svc:
+        assert asyncio.run(drive(svc)) == cold
+        batches = svc.obs.histogram("server.coalesce_chunk_size")
+    assert batches.total == 40  # every single went out exactly once
+    assert batches.vmax == 8  # a full batch, and never more
+    assert batches.count < 40  # singles did share batches
 
-    assert asyncio.run(drive()) == cold
+
+def _boom(answers):
+    """An answer writer that fails in the shard worker."""
+    raise RuntimeError("backend down")
 
 
 def test_async_coalescer_propagates_backend_errors():
-    async def drive():
-        ac = AsyncQueryCoalescer(_boom, max_chunk=1)
-        with pytest.raises(RuntimeError, match="backend down"):
-            await ac.query(0, 1, [])
-        await ac.aclose()
+    """A worker error reaches each of its requests, the ones batched
+    behind the first included."""
+    graph = generators.random_connected_graph(24, extra_edges=30, seed=7)
+    scheme = SketchConnectivityScheme(graph, seed=5)
 
-    async def _boom(pairs, faults):
-        raise RuntimeError("backend down")
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())
+        futures = [
+            submit_future(svc, [(0, 1)], [], writer=_boom)[1] for _ in range(3)
+        ]
+        for future in futures:
+            with pytest.raises(RuntimeError, match="backend down"):
+                await future
+        # the worker survives its error
+        answers, _meta = await submit_future(svc, [(0, 1)], [])[1]
+        return answers
 
-    asyncio.run(drive())
+    with _coalescing_service(scheme) as svc:
+        assert asyncio.run(drive(svc)) == scheme.query_many([(0, 1)], [])
 
 
 def test_async_coalescer_rejects_sync_backends():
-    with pytest.raises(TypeError, match="coroutine function"):
-        AsyncQueryCoalescer(lambda pairs, faults: [])
+    """``submit`` is the event loop's path: a service whose shards answer
+    in process (a synchronous backend) refuses it, bound or not — its
+    callers use ``query_many`` on a thread."""
+    graph = generators.random_connected_graph(24, extra_edges=30, seed=7)
+    scheme = SketchConnectivityScheme(graph, seed=5)
+
+    def reply(ok, payload):  # pragma: no cover - never called
+        raise AssertionError("a refused request was answered")
+
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())  # no-op in local mode
+        with pytest.raises(RuntimeError, match="worker shards"):
+            svc.submit([(0, 1)], [], {}, None, reply)
+
+    with ShardedQueryService(scheme, num_shards=0) as svc:
+        with pytest.raises(RuntimeError, match="worker shards"):
+            svc.submit([(0, 1)], [], {}, None, reply)
+        asyncio.run(drive(svc))
 
 
-# Regression: a waiter cancelled while its group is still pending (a
-# client that disconnected between submit and dispatch) must be
-# *scrubbed* from the group.  The original implementation left the
-# cancelled future in the ticket list, so the backend's answers were
-# zipped against a stale ticket list — every later waiter in the group
-# got the wrong answer (or none), and a fully-cancelled group still hit
-# the backend with pairs nobody wanted.
+# Regression: a request cancelled while it still waits for its shard (a
+# client that disconnected, or a missed deadline) must be *scrubbed*
+# from the waiting line.  Left in place, it would ride the next batch —
+# work nobody wants — and a line of only cancelled requests would still
+# reach the worker.
 def test_async_coalescer_cancelled_waiter_is_scrubbed_before_dispatch():
-    seen_chunks = []
+    graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
+    scheme = SketchConnectivityScheme(graph, seed=5)
+    pairs = [(s, s + 1) for s in range(6)]
 
-    async def backend(pairs, faults):
-        seen_chunks.append(list(pairs))
-        return [(s, t, tuple(faults)) for s, t in pairs]
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())
+        seen_chunks = _recording_posts(svc)
+        _h, blocker = submit_future(svc, [(10, 20)], [7])  # shard now busy
+        waiters = [submit_future(svc, [p], [7]) for p in pairs]
+        assert svc.pending == 6  # all six wait behind the blocker
+        for victim in (0, 3):  # head and middle
+            handle, future = waiters[victim]
+            handle.cancel()
+            future.cancel()
+        assert svc.pending == 4
+        await blocker
+        survivors = await asyncio.gather(
+            *(future for _h, future in waiters), return_exceptions=True
+        )
+        return seen_chunks, survivors
 
-    async def drive():
-        ac = AsyncQueryCoalescer(backend, max_chunk=64, max_delay=0.005)
-        waiters = [
-            asyncio.ensure_future(ac.query(s, s + 1, [7])) for s in range(6)
-        ]
-        await asyncio.sleep(0)  # all six buffered into one pending group
-        assert ac.pending == 6
-        for victim in (waiters[0], waiters[3]):  # head and middle
-            victim.cancel()
-        survivors = await asyncio.gather(*waiters, return_exceptions=True)
-        await ac.aclose()
-        return survivors
-
-    results = asyncio.run(drive())
+    with _coalescing_service(scheme, max_chunk=64) as svc:
+        seen_chunks, results = asyncio.run(drive(svc))
     # the cancelled futures stay cancelled ...
     assert isinstance(results[0], asyncio.CancelledError)
     assert isinstance(results[3], asyncio.CancelledError)
     # ... the survivors all got *their own* answers (alignment intact
     # even though earlier indices were removed) ...
     for s in (1, 2, 4, 5):
-        assert results[s] == (s, s + 1, (7,))
-    # ... and the backend never saw the scrubbed pairs
-    assert seen_chunks == [[(1, 2), (2, 3), (4, 5), (5, 6)]]
+        assert results[s][0] == scheme.query_many([pairs[s]], [7])
+    # ... and the worker never saw the scrubbed pairs
+    assert seen_chunks == [[[(10, 20)]], [[(1, 2)], [(2, 3)], [(4, 5)], [(5, 6)]]]
 
 
 def test_async_coalescer_fully_cancelled_group_never_hits_backend():
-    calls = []
+    graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
+    scheme = SketchConnectivityScheme(graph, seed=5)
 
-    async def backend(pairs, faults):
-        calls.append(list(pairs))
-        return [True for _ in pairs]
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())
+        seen = _recording_posts(svc)
+        _h, blocker = submit_future(svc, [(10, 20)], [3])  # shard now busy
+        waiters = [submit_future(svc, [(s, s + 1)], [3]) for s in range(4)]
+        for handle, future in waiters:
+            handle.cancel()
+            future.cancel()
+        # the emptied line is gone: nothing pending, nothing to post
+        assert svc.pending == 0
+        await blocker
+        assert seen == [[[(10, 20)]]]
+        # the fault set is not poisoned: it still works
+        answers, _meta = await submit_future(svc, [(0, 1)], [3])[1]
+        return seen, answers
 
-    async def drive():
-        ac = AsyncQueryCoalescer(backend, max_chunk=64, max_delay=0.002)
-        waiters = [
-            asyncio.ensure_future(ac.query(s, s + 1, [3])) for s in range(4)
-        ]
-        await asyncio.sleep(0)
-        for waiter in waiters:
-            waiter.cancel()
-        await asyncio.gather(*waiters, return_exceptions=True)
-        # the emptied group is gone (timer cancelled, nothing pending)
-        assert ac.pending == 0
-        # the group key is not poisoned: the same fault set still works
-        await asyncio.sleep(0.01)  # outlive the (cancelled) flush timer
-        assert await ac.query(0, 1, [3]) is True
-        await ac.aclose()
-
-    asyncio.run(drive())
-    assert calls == [[(0, 1)]]  # only the post-cancel query dispatched
+    with _coalescing_service(scheme, max_chunk=64) as svc:
+        seen, answers = asyncio.run(drive(svc))
+    assert answers == scheme.query_many([(0, 1)], [3])
+    # only the blocker and the post-cancel query were posted
+    assert seen == [[[(10, 20)]], [[(0, 1)]]]
 
 
 def test_async_coalescer_cancel_after_dispatch_leaves_chunk_intact():
-    """A waiter cancelled *after* its chunk went to an async backend
-    just drops its answer; the rest of the chunk is served normally."""
-    release = None
+    """A request cancelled *after* its batch was posted just drops its
+    answer; the rest of the batch is served normally."""
+    graph = generators.random_connected_graph(64, extra_edges=90, seed=17)
+    scheme = SketchConnectivityScheme(graph, seed=5)
+    pairs = [(s, s + 1) for s in range(3)]
 
-    async def backend(pairs, faults):
-        await release.wait()  # hold the dispatch so we can cancel mid-flight
-        return [s * 100 + t for s, t in pairs]
+    async def drive(svc):
+        svc.bind_loop(asyncio.get_running_loop())
+        _h, blocker = submit_future(svc, [(10, 20)], [])  # shard now busy
+        waiters = [submit_future(svc, [p], []) for p in pairs]
+        assert svc.pending == 3
+        # The blocker's reply posts the three as one batch, and this
+        # task resumes before that batch's reply can be read.
+        await blocker
+        assert svc.pending == 0
+        assert all(handle.posted is not None for handle, _f in waiters)
+        handle, future = waiters[1]
+        handle.cancel()
+        future.cancel()
+        return await asyncio.gather(
+            *(future for _h, future in waiters), return_exceptions=True
+        )
 
-    async def drive():
-        nonlocal release
-        release = asyncio.Event()
-        ac = AsyncQueryCoalescer(backend, max_chunk=3, max_delay=60.0)
-        waiters = [
-            asyncio.ensure_future(ac.query(s, s + 1, [])) for s in range(3)
-        ]
-        await asyncio.sleep(0)  # size trigger dispatched the chunk
-        assert ac.pending == 0
-        waiters[1].cancel()
-        release.set()
-        results = await asyncio.gather(*waiters, return_exceptions=True)
-        await ac.aclose()
-        return results
-
-    results = asyncio.run(drive())
-    assert results[0] == 1
+    with _coalescing_service(scheme, max_chunk=3) as svc:
+        results = asyncio.run(drive(svc))
+        batches = svc.obs.histogram("server.coalesce_chunk_size")
+    assert results[0][0] == scheme.query_many([pairs[0]], [])
     assert isinstance(results[1], asyncio.CancelledError)
-    assert results[2] == 203
+    assert results[2][0] == scheme.query_many([pairs[2]], [])
+    assert batches.vmax == 3  # the three went as one batch
 
 
 # ----------------------------------------------------------------------

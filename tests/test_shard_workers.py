@@ -14,10 +14,14 @@ side through the socket server):
 * a worker's exception reaches the caller and the worker keeps serving;
 * ``close()`` is bounded even when workers ignore SIGTERM;
 * a loop-bound service never blocks its loop on a worker that stopped
-  reading, and bounds every chunk it starts with its own timer: a
-  stopped worker costs that chunk a ``ShardLostError`` after
+  reading, and bounds every batch it posts with its own timer: a
+  stopped worker costs that batch a ``ShardLostError`` after
   ``chunk_timeout`` with nothing timed on the caller's side, and a
-  chunk that fails while being posted leaves no timer behind.
+  batch that fails while being posted leaves no timer behind;
+* ``submit`` group-commits: a request to an idle shard is posted within
+  the call, with one timer (the batch's chunk timeout) and nothing else,
+  and a restart fails only the posted batch — requests still waiting
+  for the shard are answered by the fresh worker.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.graph import generators
 from repro.serving import ShardedQueryService, canonical_fault_key, shard_of
 from repro.serving.shards import ShardLostError
 from repro.store import save_snapshot
+from tests.server_util import submit_future
 
 # worker processes on pipes: arm the conftest watchdog, so a wedged
 # pipe fails the test instead of hanging the suite
@@ -156,13 +161,14 @@ def test_pipes_have_one_owner(scheme):
     F0 = _faults_on_shard(scheme, 0)
     with ShardedQueryService(scheme, num_shards=2) as svc:
         with pytest.raises(RuntimeError):
-            svc.start_chunk(pairs, F0)  # nobody would read the reply
+            # nobody would read the reply
+            svc.submit(pairs, F0, {}, None, lambda ok, payload: None)
 
         async def bound():
             svc.bind_loop(asyncio.get_running_loop())
             with pytest.raises(RuntimeError):
                 svc.query_many(pairs, F0)  # the loop reads these pipes
-            _shard, future = svc.start_chunk(pairs, F0)
+            _handle, future = submit_future(svc, pairs, F0)
             answers, meta = await asyncio.wait_for(future, 60)
             stats, registry = await svc.astats_bundle()
             return answers, meta, stats
@@ -185,17 +191,17 @@ def test_a_stopped_worker_never_blocks_the_loop(scheme):
             svc.bind_loop(loop)
             victim = svc.worker_pids()[0]
             os.kill(victim, signal.SIGSTOP)
-            shard, stuck = svc.start_chunk(big, F0)  # returns at once
+            handle, stuck = submit_future(svc, big, F0)  # returns at once
             ticks = 0
             t0 = loop.time()
             while loop.time() - t0 < 0.3:  # the loop keeps turning
                 await asyncio.sleep(0.01)
                 ticks += 1
-            assert shard == 0 and not stuck.done() and ticks > 5
+            assert handle.shard == 0 and not stuck.done() and ticks > 5
             assert svc.restart_shard(0, epoch=svc.shard_epoch(0))
             with pytest.raises(ShardLostError):
                 await stuck
-            _shard, fresh = svc.start_chunk(pairs, F0)
+            _handle, fresh = submit_future(svc, pairs, F0)
             answers, _meta = await asyncio.wait_for(fresh, 60)
             return victim, answers
 
@@ -218,16 +224,16 @@ def test_bound_loop_times_out_a_stopped_worker_itself(scheme):
             victim = svc.worker_pids()[0]
             os.kill(victim, signal.SIGSTOP)
             t0 = loop.time()
-            _shard, future = svc.start_chunk(pairs, F0)
+            _handle, future = submit_future(svc, pairs, F0)
             # asyncio.wait only stops looking after 5 s; it neither
             # cancels the future nor restarts anything
             await asyncio.wait({future}, timeout=5)
             elapsed = loop.time() - t0
-            assert future.done(), "the service never timed the chunk out"
+            assert future.done(), "the service never timed the batch out"
             assert isinstance(future.exception(), ShardLostError)
             assert elapsed < 5
             assert victim not in svc.worker_pids()
-            _shard, fresh = svc.start_chunk(pairs, F0)
+            _handle, fresh = submit_future(svc, pairs, F0)
             answers, _meta = await asyncio.wait_for(fresh, 60)
             stats, registry = await svc.astats_bundle()
             return victim, answers, stats, registry
@@ -258,14 +264,84 @@ def test_a_chunk_whose_post_fails_leaves_no_timer(scheme):
 
             loop.call_later = counted
             svc._send = lambda w, data: False  # every worker is gone
-            _shard, lost = svc.start_chunk(pairs, F0)
+            _handle, lost = submit_future(svc, pairs, F0)
             assert lost.done() and isinstance(lost.exception(), ShardLostError)
             assert timers == []
             del svc._send
-            _shard, future = svc.start_chunk(pairs, F0)
+            _handle, future = submit_future(svc, pairs, F0)
             assert len(timers) == 1
             answers, _meta = await future
             assert timers[0].cancelled()  # the reply cancelled it
             return answers
 
         assert asyncio.run(drive()) == scheme.query_many(pairs, F0)
+
+
+def test_an_idle_shard_posts_a_lone_request_within_the_call(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    pairs = _pairs(scheme, count=1)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            svc.bind_loop(loop)
+            timers = []
+            call_at = loop.call_at
+
+            def counted(*args, **kw):  # call_later goes through call_at too
+                timers.append(call_at(*args, **kw))
+                return timers[-1]
+
+            loop.call_at = counted
+            handle, future = submit_future(svc, pairs, F0)
+            # on the pipe before submit returned: nothing waits, and the
+            # batch's chunk timeout is the one timer
+            assert handle.shard == 0 and handle.posted is not None
+            assert svc.queue_depths() == [1, 0] and svc.pending == 0
+            assert len(timers) == 1
+            answers, _meta = await future
+            assert timers[0].cancelled()  # the reply cancelled it
+            assert len(timers) == 1
+            return answers
+
+        assert asyncio.run(drive()) == scheme.query_many(pairs, F0)
+
+
+def test_a_restart_fails_only_the_posted_batch(scheme):
+    F0 = _faults_on_shard(scheme, 0)
+    F0b = _faults_on_shard(scheme, 0, seed=11)
+    assert F0b != F0
+    pairs = _pairs(scheme)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+
+        async def drive():
+            svc.bind_loop(asyncio.get_running_loop())
+            victim = svc.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            posted, lost = submit_future(svc, pairs, F0)
+            waiting = [
+                submit_future(svc, pairs[:3], F0),
+                submit_future(svc, pairs[:5], F0b),
+            ]
+            assert posted.posted is not None
+            assert [h.posted for h, _f in waiting] == [None, None]
+            assert svc.pending == 2
+            assert svc.restart_shard(0, epoch=svc.shard_epoch(0))
+            # the waiting requests went to the fresh worker at once
+            assert svc.pending == 0 and svc.queue_depths()[0] == 1
+            with pytest.raises(ShardLostError):
+                await lost
+            answers = [
+                (await asyncio.wait_for(future, 60))[0] for _h, future in waiting
+            ]
+            stats, _registry = await svc.astats_bundle()
+            return victim, answers, stats
+
+        victim, answers, stats = asyncio.run(drive())
+        assert answers == [
+            scheme.query_many(pairs[:3], F0),
+            scheme.query_many(pairs[:5], F0b),
+        ]
+        assert stats.pool_restarts == 1
+        _wait_dead(victim)
+        assert victim not in svc.worker_pids()
