@@ -91,7 +91,7 @@ class StatsReport(dict):
 
     @property
     def queue_depth(self) -> list:
-        """Chunks in flight per shard at snapshot time."""
+        """Messages (batches and stats) in flight per shard at snapshot time."""
         return (self.get("service") or {}).get("queue_depth") or []
 
     @property

@@ -48,8 +48,9 @@ import gc
 import json
 import signal
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -109,9 +110,10 @@ def _graph_dims(meta: dict) -> tuple[Optional[int], Optional[int]]:
     return None, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerStats:
-    """Parent-side counters of one :class:`LabelServer`."""
+    """A :class:`LabelServer`'s front-door counters: a read-only view of
+    its registry dump (:meth:`from_dump`)."""
 
     connections_total: int = 0
     connections_open: int = 0
@@ -121,20 +123,24 @@ class ServerStats:
     reloads: int = 0
     protocol_errors: int = 0
 
-    def count_error(self, code: ErrorCode) -> None:
-        name = code.name
-        self.errors[name] = self.errors.get(name, 0) + 1
+    @classmethod
+    def from_dump(cls, dump: dict) -> "ServerStats":
+        """Read the view off the ``server.*`` names of a registry dump
+        (a name the dump lacks reads zero)."""
+        n = Counter({**dump["counters"], **dump["gauges"]})
+        errors = "server.errors."
+        return cls(
+            connections_total=n["server.connections_total"],
+            connections_open=int(n["server.connections_open"]),
+            frames=n["server.frames_total"],
+            queries=n["server.queries_total"],
+            errors={k[len(errors):]: v for k, v in n.items() if k.startswith(errors)},
+            reloads=n["server.reloads"],
+            protocol_errors=n["server.protocol_errors"],
+        )
 
     def snapshot(self) -> dict:
-        return {
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "frames": self.frames,
-            "queries": self.queries,
-            "errors": dict(self.errors),
-            "protocol_errors": self.protocol_errors,
-            "reloads": self.reloads,
-        }
+        return asdict(self)
 
 
 class _Generation:
@@ -254,11 +260,11 @@ class LabelServer:
         )
         self.hot_key_share = hot_key_share
         self.install_sighup = install_sighup
-        self.stats = ServerStats()
-        #: registry for the front door's own metrics; shard-worker and
-        #: service registries are merged in at STATS time.  ``metrics=
-        #: False`` turns every instrument into a shared no-op (the
-        #: metrics-off arm of ``benchmarks/bench_obs.py``).
+        #: registry for the front door's own metrics (:attr:`stats` is a
+        #: view of it); the service's merged dump joins it at STATS
+        #: time.  ``metrics=False`` turns every instrument into a shared
+        #: no-op (the metrics-off arm of ``benchmarks/bench_obs.py``):
+        #: nothing is counted, and every stats view reads zero.
         self.metrics_enabled = metrics
         self.obs = MetricsRegistry(enabled=metrics)
         #: every request is traced server-side (spans are a handful of
@@ -339,6 +345,11 @@ class LabelServer:
         if gen.service is not None:
             gen.service.bind_loop(asyncio.get_running_loop())
         return gen
+
+    @property
+    def stats(self) -> ServerStats:
+        """The front door's counters (a view of :attr:`obs`)."""
+        return ServerStats.from_dump(self.obs.to_wire())
 
     @property
     def generation(self) -> _Generation:
@@ -444,7 +455,6 @@ class LabelServer:
             old = self._gen
             self._gen = new  # the swap: atomic on the loop thread
             self._snapshot_path = path
-            self.stats.reloads += 1
             self.obs.counter("server.reloads").inc()
             await old.drain()
             old.close()
@@ -476,7 +486,6 @@ class LabelServer:
         deadline timer.  Invalid frames are answered here too, with the
         ``ERROR`` frame of their exception (see :data:`_ERROR_CODES`).
         """
-        self.stats.frames += 1
         self.obs.counter("server.frames_total").inc()
         # Every request gets a trace: the client's id when the frame
         # carried one, a freshly minted one otherwise (so the slow-query
@@ -549,7 +558,6 @@ class LabelServer:
             )
         self._validate(gen, pairs, faults)
         kw = {"want_path": want_path} if gen.kind == "sketch" else {}
-        self.stats.queries += len(pairs)
         self.obs.counter("server.queries_total").inc(len(pairs))
         self._arm_deadline(req)
         service, writer = gen.service, gen.writer
@@ -609,7 +617,6 @@ class LabelServer:
                 "answer ROUTE queries"
             )
         self._validate(gen, pairs, faults)
-        self.stats.queries += len(pairs)
         self.obs.counter("server.queries_total").inc(len(pairs))
         self._arm_deadline(req)
         router = gen.router
@@ -719,7 +726,7 @@ class LabelServer:
                     ftype, frame.request_id, payload, trace_id=frame.trace_id
                 )
             except ProtocolError as exc:  # e.g. a reply beyond MAX_PAYLOAD
-                self._count_error(ErrorCode.BAD_FRAME)
+                self.obs.counter("server.errors.BAD_FRAME").inc()
                 data = encode_frame(
                     FrameType.ERROR, frame.request_id,
                     (int(ErrorCode.BAD_FRAME), str(exc)),
@@ -744,14 +751,11 @@ class LabelServer:
 
     def _error(self, req: "_Request", code: ErrorCode, message: str) -> None:
         if not req.done:
-            self._count_error(code)
+            self.obs.counter(f"server.errors.{code.name}").inc()
             self._finish(req, FrameType.ERROR, (int(code), message))
 
-    def _count_error(self, code: ErrorCode) -> None:
-        self.stats.count_error(code)
-        self.obs.counter(f"server.errors.{code.name}").inc()
-
     async def _stats_payload(self, gen: _Generation) -> str:
+        front = self.obs.to_wire()
         payload = {
             "version": gen.version,
             "kind": gen.kind,
@@ -760,24 +764,18 @@ class LabelServer:
             "n": gen.n,
             "m": gen.m,
             "metrics_enabled": self.metrics_enabled,
-            "server": self.stats.snapshot(),
+            "server": ServerStats.from_dump(front).snapshot(),
         }
-        service_wire = None
-        if gen.service is not None:
-            # One round trip to every shard worker through the loop's
-            # own pipes (bounded by the caller's deadline), returning
-            # both the legacy counters and the uniform registry dump
-            # (queue depth, per-shard cache hit rates, exact-merged
-            # worker histograms).
-            service_stats, service_wire = await gen.service.astats_bundle()
-            payload["service"] = service_stats.snapshot()
         # One uniform registry dump: front-door metrics + the service's
         # (worker registries merged exactly — same bucket family).
         merged = MetricsRegistry(enabled=self.metrics_enabled)
-        if self.metrics_enabled:
-            merged.merge_wire(self.obs.to_wire())
-            if service_wire is not None:
-                merged.merge_wire(service_wire)
+        merged.merge_wire(front)
+        if gen.service is not None:
+            # One round trip to every shard worker through the loop's
+            # own pipes, each message under the chunk timeout.
+            service_stats, service_wire = await gen.service.astats_bundle()
+            payload["service"] = service_stats.snapshot()
+            merged.merge_wire(service_wire)
         payload["metrics"] = merged.snapshot()
         payload["slow_queries"] = self.slow_log.snapshot()
         return json.dumps(payload, sort_keys=True)
@@ -787,8 +785,6 @@ class LabelServer:
     # ------------------------------------------------------------------
     def _connection_made(self, conn: "_Connection") -> None:
         self._conns.add(conn)
-        self.stats.connections_total += 1
-        self.stats.connections_open += 1
         self.obs.counter("server.connections_total").inc()
         self.obs.gauge("server.connections_open").inc()
 
@@ -799,14 +795,12 @@ class LabelServer:
         self._conns.discard(conn)
         for req in list(conn.requests):
             self._finish(req)
-        self.stats.connections_open -= 1
         self.obs.gauge("server.connections_open").dec()
 
     def _protocol_error(self, conn: "_Connection", exc: ProtocolError) -> None:
         """The stream is garbage: one ``BAD_FRAME`` error, then close."""
-        self.stats.protocol_errors += 1
         self.obs.counter("server.protocol_errors").inc()
-        self._count_error(ErrorCode.BAD_FRAME)
+        self.obs.counter("server.errors.BAD_FRAME").inc()
         conn.write(
             encode_frame(
                 FrameType.ERROR, 0, (int(ErrorCode.BAD_FRAME), str(exc))

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.core._batch import normalize_faults
+from repro.obs import MetricsRegistry
 
 FaultKey = tuple[int, ...]
 
@@ -85,13 +86,22 @@ def group_by_canonical_key(
     return groups
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction counters of one :class:`PartitionCache`."""
+    """Hit/miss/eviction counts of one :class:`PartitionCache`: a
+    read-only view of its registry dump."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+
+    @classmethod
+    def from_dump(cls, dump: dict) -> "CacheStats":
+        """The ``cache.*`` counters of a registry wire dump."""
+        counters = dump["counters"]
+        return cls(
+            *(counters.get(f"cache.{n}", 0) for n in ("hits", "misses", "evictions"))
+        )
 
     @property
     def lookups(self) -> int:
@@ -104,13 +114,8 @@ class CacheStats:
         return self.hits / n if n else 0.0
 
     def snapshot(self) -> dict:
-        """A JSON-ready copy (used by ``ServiceStats`` and benches)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        """A JSON-ready copy."""
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 class PartitionCache:
@@ -139,12 +144,12 @@ class PartitionCache:
         retry decodes); sorted-order canonicalization shares entries
         across permutations and is right for everything else.
 
-        ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`: hit
-        and miss counters plus a ``cache.decode_seconds`` histogram are
-        recorded into it per *fault-set group* (never per query), so the
-        shard workers can ship exact decode-latency distributions back
-        to the serving parent.  ``None`` keeps the cache metrics-free —
-        :class:`CacheStats` is maintained either way."""
+        ``obs`` is the :class:`~repro.obs.MetricsRegistry` the cache
+        counts into, per *fault-set group* (never per query):
+        ``cache.hits``, ``cache.misses`` (at lookup, before the decode),
+        ``cache.evictions`` and a ``cache.decode_seconds`` histogram —
+        the shard workers ship it to the serving parent.  ``None`` gives
+        the cache a private registry; :attr:`stats` reads either."""
         if not hasattr(scheme, "decode_partition"):
             raise TypeError(
                 f"{type(scheme).__name__} does not expose decode_partition"
@@ -154,10 +159,17 @@ class PartitionCache:
         self.scheme = scheme
         self.capacity = capacity
         self.canonicalize = canonicalize
-        self.obs = obs
+        self.obs = MetricsRegistry() if obs is None else obs
         self._key = canonical_fault_key if canonicalize else presentation_fault_key
         self._lru: "OrderedDict[FaultKey, object]" = OrderedDict()
-        self.stats = CacheStats()
+        self._hits = self.obs.counter("cache.hits")
+        self._misses = self.obs.counter("cache.misses")
+        self._evictions = self.obs.counter("cache.evictions")
+
+    @property
+    def stats(self) -> CacheStats:
+        """Hit/miss/eviction counts so far (a view of :attr:`obs`)."""
+        return CacheStats.from_dump(self.obs.to_wire())
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -175,22 +187,16 @@ class PartitionCache:
         part = self._lru.get(key)
         if part is not None:
             self._lru.move_to_end(key)
-            self.stats.hits += 1
-            if self.obs is not None:
-                self.obs.counter("cache.hits").inc()
+            self._hits.inc()
             return part
-        self.stats.misses += 1
+        self._misses.inc()
         t0 = time.perf_counter()
         part = self.scheme.decode_partition(list(key))
-        if self.obs is not None:
-            self.obs.counter("cache.misses").inc()
-            self.obs.histogram("cache.decode_seconds").observe(
-                time.perf_counter() - t0
-            )
+        self.obs.histogram("cache.decode_seconds").observe(time.perf_counter() - t0)
         self._lru[key] = part
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
-            self.stats.evictions += 1
+            self._evictions.inc()
         return part
 
     def query(self, s: int, t: int, faults: Iterable[int] = (), **kw):

@@ -38,9 +38,10 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   round-robin over *every* shard instead of pinning its hash owner —
   each worker's cache builds its own replica of the partition (cheap:
   one decode per worker) and the hot key stops serializing the fleet;
-* aggregates a :class:`ServiceStats` snapshot: chunk sizes,
-  per-shard load, hot-key replication, and the workers' combined cache
-  hit rate.
+* counts each serving event once, as it happens, in a metrics
+  registry — its own (queries, chunks, per-shard load, hot keys,
+  restarts) or a worker cache's (hits, misses, evictions); a
+  :class:`ServiceStats` is a read-only view of their merged dump.
 
 Answers are bit-identical to the single-process scheme (construction is
 finished before the fork, so every worker holds the same store;
@@ -56,8 +57,8 @@ import pickle
 import socket
 import struct
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Iterable, Optional, Sequence
@@ -65,6 +66,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.core._batch import normalize_faults
 from repro.obs import MetricsRegistry
 from repro.serving.partition_cache import (
+    CacheStats,
     FaultKey,
     PartitionCache,
     canonical_fault_key,
@@ -119,16 +121,11 @@ def _serve_batch(cache: PartitionCache, entries) -> list:
     return replies
 
 
-def _cache_stats(cache: PartitionCache) -> tuple:
-    """Cache counters + the cache's metrics registry (wire dump).
-
-    The registry dump rides along so the parent can aggregate worker
-    histograms (partition decode seconds) exactly — the fixed bucket
-    family makes the cross-process merge lossless.
-    """
-    stats = cache.stats
-    obs_wire = cache.obs.to_wire() if cache.obs is not None else None
-    return stats.hits, stats.misses, stats.evictions, len(cache), obs_wire
+def _cache_dump(cache: PartitionCache) -> dict:
+    """The cache's registry (wire dump), ``cache.entries`` set to its
+    live size: the parent merges it exactly (fixed bucket family)."""
+    cache.obs.gauge("cache.entries").set(len(cache))
+    return cache.obs.to_wire()
 
 
 def shard_of(key: FaultKey, num_shards: int) -> int:
@@ -141,7 +138,7 @@ def shard_of(key: FaultKey, num_shards: int) -> int:
 
 
 #: what a worker does with each message ``(op, args)`` it reads.
-_OPS = {"batch": _serve_batch, "stats": _cache_stats}
+_OPS = {"batch": _serve_batch, "stats": _cache_dump}
 
 
 def _worker_main(conn, source, cache_capacity: int, metrics: bool) -> None:
@@ -272,9 +269,10 @@ class _Request:
             self.queue = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceStats:
-    """One snapshot of a :class:`ShardedQueryService`'s counters."""
+    """A :class:`ShardedQueryService`'s counters: a read-only view of
+    its merged registry dump (:meth:`from_dump`)."""
 
     queries: int = 0
     chunks: int = 0
@@ -290,6 +288,40 @@ class ServiceStats:
     pool_restarts: int = 0  # shard workers respawned after a loss
     queue_depth: tuple = ()  # messages in flight per shard, at snapshot time
     per_shard_cache: tuple = ()  # one cache-counter dict per shard
+
+    @classmethod
+    def from_dump(cls, dump: dict, mode: str, num_shards: int) -> "ServiceStats":
+        """Read the view off a service's merged registry dump (see
+        :meth:`ShardedQueryService.astats_bundle`); a missing name reads 0."""
+        n = Counter({**dump["counters"], **dump["gauges"]})
+        shards = range(num_shards)
+        per_shard_cache = tuple(
+            {
+                "hits": n[f"shard.{i}.cache_hits"],
+                "misses": n[f"shard.{i}.cache_misses"],
+                "evictions": n[f"shard.{i}.cache_evictions"],
+                "entries": n[f"shard.{i}.cache_entries"],
+                "hit_rate": round(n[f"shard.{i}.cache_hit_rate"], 4),
+            }
+            for i in shards
+        )
+        chunk_size = dump["histograms"].get("shard.chunk_size", {})
+        return cls(
+            queries=n["service.queries"],
+            chunks=n["service.chunks"],
+            per_shard=tuple(n[f"shard.{i}.queries"] for i in shards),
+            cache_hits=n["cache.hits"],
+            cache_misses=n["cache.misses"],
+            cache_evictions=n["cache.evictions"],
+            cache_entries=sum(c["entries"] for c in per_shard_cache),
+            mode=mode,
+            max_chunk_seen=int(chunk_size.get("max") or 0),
+            hot_keys=n["service.hot_keys"],
+            replicated_chunks=n["service.replicated_chunks"],
+            pool_restarts=n["service.pool_restarts"],
+            queue_depth=tuple(n[f"shard.{i}.queue_depth"] for i in shards),
+            per_shard_cache=per_shard_cache,
+        )
 
     @property
     def mean_chunk(self) -> float:
@@ -322,18 +354,6 @@ class ServiceStats:
                 "hit_rate": round(self.cache_hit_rate, 4),
             },
         }
-
-
-@dataclass
-class _Tally:
-    """Parent-side running counters (folded into ServiceStats)."""
-
-    queries: int = 0
-    chunks: int = 0
-    max_chunk: int = 0
-    per_shard: list = field(default_factory=list)
-    replicated_chunks: int = 0
-    pool_restarts: int = 0
 
 
 class ShardedQueryService:
@@ -405,11 +425,9 @@ class ShardedQueryService:
         self._total_traffic = 0
         self._hot_keys: set[FaultKey] = set()
         self._rr = 0  # round-robin pointer for replicated keys
-        self._tally = _Tally()
-        #: parent-side metrics (chunk sizes, worker seconds, queue depth);
-        #: worker registries are merged in by :meth:`registry_dump`.
+        #: parent-side metrics (service counts, chunk sizes, worker
+        #: seconds); :meth:`stats` merges the worker registries in.
         self.obs = MetricsRegistry(enabled=metrics)
-        self.metrics_enabled = metrics
         self._workers: Optional[list[_Worker]] = None
         self._local: Optional[list[PartitionCache]] = None
         #: the asyncio loop that owns the pipes (see :meth:`bind_loop`)
@@ -477,7 +495,15 @@ class ShardedQueryService:
             source = self.scheme if self._start_method == "fork" else self.snapshot
             self._worker_args = (source, cache_capacity, metrics)
             self._workers = [self._spawn(shard, 0) for shard in range(num_shards)]
-        self._tally.per_shard = [0] * self.num_shards
+        # every service.* and shard.<i>.queries name exists, at zero
+        count = self.obs.counter
+        self._queries, self._chunks = count("service.queries"), count("service.chunks")
+        self._shard_queries = [
+            count(f"shard.{i}.queries") for i in range(self.num_shards)
+        ]
+        for name in ("pool_restarts", "replicated_chunks"):
+            count(f"service.{name}")
+        self.obs.gauge("service.hot_keys").set(0)
         #: per shard, submitted requests waiting for the batch in flight
         self._waiting = [deque() for _ in range(self.num_shards)]
 
@@ -550,7 +576,7 @@ class ShardedQueryService:
         w.proc.kill()
         self._workers[w.shard] = self._spawn(w.shard, w.epoch + 1)
         self._dead = _reap(self._dead + [w.proc], 0.0)
-        self._tally.pool_restarts += 1
+        self.obs.counter("service.pool_restarts").inc()
         if self._waiting[w.shard]:
             self._commit(w.shard)
         jobs, w.jobs = w.jobs, deque()
@@ -752,18 +778,18 @@ class ShardedQueryService:
             and traffic >= self.hot_key_share * self._total_traffic
         ):
             self._hot_keys.add(key)
+            self.obs.gauge("service.hot_keys").set(len(self._hot_keys))
         if key in self._hot_keys:
             self._rr = (self._rr + 1) % self.num_shards
-            self._tally.replicated_chunks += 1
+            self.obs.counter("service.replicated_chunks").inc()
             return self._rr
         return shard_of(key, self.num_shards)
 
     def _count_chunk(self, shard: int, size: int) -> None:
-        tally = self._tally
-        tally.chunks += 1
-        tally.per_shard[shard] += size
-        if size > tally.max_chunk:
-            tally.max_chunk = size
+        """Count one chunk or request of ``size`` pairs, sent to ``shard``."""
+        self._queries.inc(size)
+        self._chunks.inc()
+        self._shard_queries[shard].inc(size)
         self.obs.histogram("shard.chunk_size").observe(size)
 
     def queue_depths(self) -> list[int]:
@@ -787,8 +813,11 @@ class ShardedQueryService:
         round-robin over all shards — see :meth:`_shard_for`); answers
         return in request order with the scheme's native answer type.
         A worker's exception (or :class:`ShardLostError`) is raised
-        once every other chunk of the call has been answered.
+        once every other chunk of the call has been answered.  Refused,
+        before anything is counted, once a loop owns the pipes.
         """
+        if self._loop is not None:
+            raise RuntimeError("this service's pipes belong to its bound event loop")
         pairs = list(pairs)
         per = normalize_faults(pairs, faults)
         groups = group_by_canonical_key(per)
@@ -828,7 +857,6 @@ class ShardedQueryService:
             self._call_sync(posts)
         if errors:
             raise errors[0]
-        self._tally.queries += len(pairs)
         return results
 
     def submit(
@@ -870,9 +898,8 @@ class ShardedQueryService:
     def _commit(self, shard: int) -> None:
         """Post the shard's waiting requests, in arrival order and up to
         ``max_chunk`` pairs (at least one request: none is split), as one
-        batch message; ``server.coalesce_chunk_size`` observes its size.
-        One loop timer per batch, cancelled by the reply, restarts a
-        worker silent for ``chunk_timeout`` (:meth:`restart_shard`).
+        batch message (:meth:`_post_timed`); ``server.coalesce_chunk_size``
+        observes its size.
         """
         queue = self._waiting[shard]
         batch = [queue.popleft()]
@@ -885,19 +912,25 @@ class ShardedQueryService:
             req.posted = posted
             req.queue = None
             self._count_chunk(shard, len(req.pairs))
-        self._tally.queries += size
         self.obs.histogram("server.coalesce_chunk_size").observe(len(batch))
+        self._post_timed(shard, self._batch_msg(batch), partial(self._answer, batch))
+
+    def _post_timed(self, shard: int, msg: tuple, job: Callable) -> None:
+        """:meth:`_post` from the bound loop, batch or stats message alike:
+        one loop timer, cancelled by the reply, restarts a worker silent
+        for ``chunk_timeout`` (:meth:`restart_shard`).  A message failed
+        within the post (its worker was lost) gets no timer."""
         timer = None
         answered = False
 
-        def job(ok, payload):
+        def timed(ok, payload):
             nonlocal answered
             answered = True
             if timer is not None:
                 timer.cancel()
-            self._answer(batch, ok, payload)
+            job(ok, payload)
 
-        self._post(shard, self._batch_msg(batch), job)
+        self._post(shard, msg, timed)
         if not answered:
             # The epoch is read after the post, which may have replaced
             # a dead worker: the timer is about the one holding the job.
@@ -946,14 +979,14 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def _worker_sweep(self) -> list[tuple]:
-        """One ``(hits, misses, evictions, entries, obs_wire)`` per shard.
+    def _worker_sweep(self) -> list[dict]:
+        """Every shard's cache dump (:func:`_cache_dump`), in shard order.
 
         With workers this is one blocking round trip to each; local
         mode reads the in-process caches directly.
         """
         if self._workers is None:
-            return [_cache_stats(cache) for cache in self._local]
+            return [_cache_dump(cache) for cache in self._local]
         sweep: list = [None] * self.num_shards
         errors: list = []
 
@@ -973,92 +1006,43 @@ class ShardedQueryService:
             raise errors[0]
         return sweep
 
-    def stats(self, _sweep: Optional[list] = None) -> ServiceStats:
-        """Aggregate parent counters with the workers' cache counters."""
-        sweep = self._worker_sweep() if _sweep is None else _sweep
-        hits = misses = evictions = entries = 0
-        per_shard_cache = []
-        for h, m, e, live, _wire in sweep:
-            hits += h
-            misses += m
-            evictions += e
-            entries += live
-            per_shard_cache.append(
-                {
-                    "hits": h,
-                    "misses": m,
-                    "evictions": e,
-                    "entries": live,
-                    "hit_rate": round(h / (h + m), 4) if h + m else 0.0,
-                }
-            )
-        t = self._tally
-        return ServiceStats(
-            queries=t.queries,
-            chunks=t.chunks,
-            per_shard=tuple(t.per_shard),
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_evictions=evictions,
-            cache_entries=entries,
-            mode=self.mode,
-            max_chunk_seen=t.max_chunk,
-            hot_keys=len(self._hot_keys),
-            replicated_chunks=t.replicated_chunks,
-            pool_restarts=t.pool_restarts,
-            queue_depth=tuple(self.queue_depths()),
-            per_shard_cache=tuple(per_shard_cache),
-        )
-
-    def _registry_from_sweep(self, sweep: list) -> dict:
-        """Uniform registry dump: parent metrics, exact-merged worker
-        histograms, and per-shard gauges (queue depth, cache hit rate)."""
-        merged = MetricsRegistry(enabled=self.metrics_enabled)
-        if not self.metrics_enabled:
-            return merged.to_wire()
+    def _merged_dump(self, sweep: list[dict]) -> dict:
+        """The service's registry dump: its own metrics plus the worker
+        cache dumps of ``sweep``, counters and histograms merged exactly.
+        Worker gauges are not merged (last-write-wins would keep one
+        shard's level): each shard's live entries, like its cache counts
+        and queue depth, land under ``shard.<i>.*``."""
+        merged = MetricsRegistry(enabled=self.obs.enabled)
         merged.merge_wire(self.obs.to_wire())
-        t = self._tally
-        merged.counter("service.queries").inc(t.queries)
-        merged.counter("service.chunks").inc(t.chunks)
-        merged.counter("service.pool_restarts").inc(t.pool_restarts)
-        merged.counter("service.replicated_chunks").inc(t.replicated_chunks)
-        merged.gauge("service.hot_keys").set(len(self._hot_keys))
-        depths = self.queue_depths()
-        for shard, (h, m, e, live, wire) in enumerate(sweep):
-            if wire:
-                merged.merge_wire(wire)
-            merged.counter(f"shard.{shard}.cache_hits").inc(h)
-            merged.counter(f"shard.{shard}.cache_misses").inc(m)
-            merged.counter(f"shard.{shard}.cache_evictions").inc(e)
-            merged.gauge(f"shard.{shard}.cache_entries").set(live)
-            merged.gauge(f"shard.{shard}.cache_hit_rate").set(
-                h / (h + m) if h + m else 0.0
-            )
-            merged.gauge(f"shard.{shard}.queue_depth").set(depths[shard])
-            merged.counter(f"shard.{shard}.queries").inc(t.per_shard[shard])
+        for shard, (wire, depth) in enumerate(zip(sweep, self.queue_depths())):
+            merged.merge_wire({**wire, "gauges": {}})
+            cache = CacheStats.from_dump(wire)
+            for name, count in asdict(cache).items():
+                merged.counter(f"shard.{shard}.cache_{name}").inc(count)
+            entries = wire["gauges"].get("cache.entries", 0)
+            merged.gauge(f"shard.{shard}.cache_entries").set(entries)
+            merged.gauge(f"shard.{shard}.cache_hit_rate").set(cache.hit_rate)
+            merged.gauge(f"shard.{shard}.queue_depth").set(depth)
         return merged.to_wire()
 
-    def registry_dump(self) -> dict:
-        """The service's metrics as one mergeable wire dict."""
-        return self._registry_from_sweep(self._worker_sweep())
-
-    def stats_bundle(self) -> tuple[ServiceStats, dict]:
-        """``(stats(), registry_dump())`` off one worker round trip."""
-        sweep = self._worker_sweep()
-        return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
+    def stats(self) -> ServiceStats:
+        """The service's counters, off one blocking sweep of the workers."""
+        dump = self._merged_dump(self._worker_sweep())
+        return ServiceStats.from_dump(dump, self.mode, self.num_shards)
 
     async def astats_bundle(self) -> tuple[ServiceStats, dict]:
-        """:meth:`stats_bundle` for a service bound to the running loop:
-        the sweep's replies are read by the loop, never by a thread."""
+        """``(stats, merged registry dump)`` off one sweep of the workers;
+        on a bound loop the loop reads the replies, and each stats
+        message is timed like a batch (:meth:`_post_timed`)."""
         if self._loop is None:
-            return self.stats_bundle()
-        futures = []
-        for shard in range(self.num_shards):
-            future = self._loop.create_future()
-            self._post(shard, ("stats", ()), partial(_settle, future))
-            futures.append(future)
-        sweep = await asyncio.gather(*futures)
-        return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
+            sweep = self._worker_sweep()
+        else:
+            futures = [self._loop.create_future() for _ in range(self.num_shards)]
+            for shard, future in enumerate(futures):
+                self._post_timed(shard, ("stats", ()), partial(_settle, future))
+            sweep = await asyncio.gather(*futures)
+        dump = self._merged_dump(sweep)
+        return ServiceStats.from_dump(dump, self.mode, self.num_shards), dump
 
     def close(self) -> None:
         """Stop every worker (idempotent).

@@ -309,6 +309,22 @@ def test_stats_report_registry_dump(served_scheme):
     per_shard = stats["service"]["per_shard_cache"]
     assert len(per_shard) == 2
     assert all({"hits", "misses", "hit_rate"} <= set(c) for c in per_shard)
+    # every name a fresh service carries, per shard too; worker gauges
+    # stay per shard, and cache.evictions is the one name added
+    assert {
+        "service.queries", "service.chunks", "service.pool_restarts",
+        "service.replicated_chunks", "cache.evictions",
+    } | {
+        f"shard.{i}.{name}"
+        for i in range(2)
+        for name in ("queries", "cache_hits", "cache_misses", "cache_evictions")
+    } <= set(stats.counters)
+    assert {"service.hot_keys"} | {
+        f"shard.{i}.{name}"
+        for i in range(2)
+        for name in ("cache_entries", "cache_hit_rate", "queue_depth")
+    } <= set(stats.gauges)
+    assert "cache.entries" not in stats.gauges
     # the dump renders as Prometheus text without error
     assert "repro_server_queries_total" in stats.prometheus()
 
@@ -324,6 +340,7 @@ def test_answers_and_snapshot_bit_identical_with_tracing(tmp_path):
 
     digests = {}
     answers = {}
+    reports = {}
     for metrics in (False, True):
         path = tmp_path / f"snap-{metrics}.ftl"
         save_snapshot(path, scheme)
@@ -336,7 +353,16 @@ def test_answers_and_snapshot_bit_identical_with_tracing(tmp_path):
                     pairs, faults, want_path=True, trace_id=mint_trace_id()
                 )
                 untraced = client.connectivity(pairs, faults, want_path=True)
+                reports[metrics] = client.stats()
         assert answers[metrics] == untraced
+        assert reports[metrics]["metrics_enabled"] is metrics
+    # metrics off: nothing is counted, so the dump is empty and every
+    # stats view reads zero
+    off, on = reports[False], reports[True]
+    assert off.metrics == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert off["server"]["frames"] == off["server"]["queries"] == 0
+    assert off["service"]["queries"] == off["service"]["cache"]["misses"] == 0
+    assert on["server"]["queries"] == on["service"]["queries"] == 2 * len(pairs)
     assert digests[False] == digests[True]
     assert answers[False] == answers[True] == expected
 
