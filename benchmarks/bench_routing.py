@@ -11,7 +11,7 @@ the identical labels, tables and sketch randomness):
   engine (``engine="reference"``: per-vertex table dicts, per-hop
   tree-label decoding, one full retry decode per iteration);
 * ``packed_mps`` — the packed ``route_many`` plane (array tables,
-  batched next hops, partition-cache retry decodes);
+  whole tree segments per step, partition-cache retry decodes);
 * ``speedup`` — ``packed_mps / seed_mps``, the headline (acceptance
   bar: >= 3x on ``random-1024``);
 * trace equality is asserted before anything is timed or reported —
@@ -25,6 +25,7 @@ Usage::
     python -m benchmarks.bench_routing --check   # compare smoke speedups
                                                  # against the committed JSON;
                                                  # exit 1 on >2x regression
+                                                 # or packed slower than seed
 
 ``--check`` is what ``benchmarks/run_baseline.sh`` and the
 ``bench_smoke`` pytest marker run in CI.
@@ -63,6 +64,11 @@ WORKLOADS = [
 #: more than this factor against the committed one (machine-speed
 #: independent: both sides are measured in the same run).
 REGRESSION_FACTOR = 2.0
+
+#: --check also fails when a smoke workload's packed engine is slower
+#: than the seed engine, whatever the committed speedup: a relative
+#: bound alone let a committed 1.26x drift to 0.63x and still pass.
+SPEEDUP_FLOOR = 1.0
 
 
 def message_batch(graph, messages: int, fault_sets: int, f: int, seed: int):
@@ -171,7 +177,8 @@ def check_against(committed: dict, repeats: int = 3) -> list[str]:
     Machine-normalized like the other gates: the seed engine is
     measured in the same run, and a workload regresses when the
     packed/seed speedup worsens by more than :data:`REGRESSION_FACTOR`
-    against the committed speedup.
+    against the committed speedup, or falls below
+    :data:`SPEEDUP_FLOOR`.
     """
     problems = []
     by_name = {w[0]: w for w in WORKLOADS}
@@ -186,7 +193,8 @@ def check_against(committed: dict, repeats: int = 3) -> list[str]:
         now_ratio = row["speedup"]
         committed_ratio = recorded["speedup"]
         regressed = now_ratio * REGRESSION_FACTOR < committed_ratio
-        status = "REGRESSED" if regressed else "ok"
+        too_slow = now_ratio < SPEEDUP_FLOOR
+        status = "REGRESSED" if regressed or too_slow else "ok"
         print(
             f"  {name}: packed now {now_ratio:.2f}x of seed  "
             f"committed {committed_ratio:.2f}x  [{status}]"
@@ -196,6 +204,11 @@ def check_against(committed: dict, repeats: int = 3) -> list[str]:
                 f"{name}: packed routing now only {now_ratio:.2f}x the seed "
                 f"engine, > {REGRESSION_FACTOR}x below the committed "
                 f"{committed_ratio:.2f}x"
+            )
+        if too_slow:
+            problems.append(
+                f"{name}: packed routing now {now_ratio:.2f}x the seed "
+                f"engine, below the {SPEEDUP_FLOOR}x floor"
             )
     return problems
 
@@ -213,7 +226,8 @@ def main(argv=None) -> int:
         const=str(DEFAULT_OUT),
         default=None,
         metavar="JSON",
-        help="re-run smoke workloads and fail on >2x regression vs JSON",
+        help="re-run smoke workloads and fail on >2x regression vs JSON "
+        "or a packed engine slower than the seed engine",
     )
     ap.add_argument(
         "--no-write", action="store_true", help="print results without writing JSON"

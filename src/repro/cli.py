@@ -11,7 +11,7 @@ Commands:
   instance over the binary wire protocol.
 * ``route``    — route a message under hidden faults and print telemetry.
 * ``route-bench`` — route one message batch through the packed
-  multi-message stepper and through the seed scalar engine, verify the
+  multi-message engine and through the seed scalar engine, verify the
   traces agree bit for bit, and print routed-messages/sec for both.
 * ``traffic`` — run a fail/repair churn traffic simulation through the
   batched router and print the aggregated telemetry report
@@ -280,9 +280,9 @@ def _cmd_route_bench(args: argparse.Namespace) -> int:
     Builds one router (both planes share the same labels, tables and
     sketch randomness), routes the identical batch through
     ``engine="reference"`` (scalar seed loop) and ``engine="packed"``
-    (batched stepper + partition-cache retry decodes), verifies the
-    route traces and telemetry agree bit for bit, and prints both
-    throughputs.  ``benchmarks/bench_routing.py`` pins the same numbers
+    (whole tree segments per step + partition-cache retry decodes),
+    verifies the route traces and telemetry agree bit for bit, and
+    prints both throughputs.  ``benchmarks/bench_routing.py`` pins the same numbers
     as a committed, CI-gated baseline (BENCH_routing.json).
     """
     from repro.traffic import fault_set_pool, uniform_pairs

@@ -1,20 +1,22 @@
-"""Vectorized multi-message routing: the ``route_many`` stepper.
+"""Batched multi-message routing: ``route_many``.
 
 The seed :class:`~repro.routing.engine.SegmentRouter` walks one
 message at a time, re-reading per-vertex table dicts and bit-unpacking
-tree labels on every hop.  This engine advances **all in-flight
-messages together**, one segment hop per iteration, over the packed
-stores of :mod:`repro.routing.packed_tables`:
+tree labels on every hop.  This engine routes a batch in **rounds**
+over the packed stores of :mod:`repro.routing.packed_tables`: a round
+follows every in-flight message along its succinct path to its next
+event — delivery, or the first faulty edge — and then runs the retry
+decode of every message that bounced.
 
-* **0-segments** (recovery edges) step as array gathers over the
-  global CSR port arrays — neighbor, edge id and weight for every
-  such message in one slice, fault checks against per-fault-set
-  boolean masks;
-* **1-segments** (tree paths) group the messages by instance and
-  compute batched Thorup-Zwick next hops with
-  :meth:`PackedTreeRouting.next_hop_many` (interval tests as array
-  ops; the light child by ``searchsorted`` instead of scanning the
-  target label's entries);
+* **0-segments** (recovery edges) are one read of the global CSR port
+  arrays (slot ``indptr[cur] + port_x``) and a fault-set check;
+* **1-segments** (tree paths) are walked whole: the hop sequence of a
+  1-segment is the unique tree path to the segment target (Fact 5.1),
+  so :meth:`PackedTreeRouting.path` lists it at once — climb parent
+  pointers to the LCA, descend the target's ancestor chain — and the
+  instance's hop tables give each hop's global edge, neighbour and
+  weight.  Hops are checked against the fault set and taken in order,
+  so weighted lengths accumulate exactly as in the seed engine;
 * **fault bounce-back** reproduces the Claim 5.6 protocol exactly —
   local label hit or Γ round trips in block order, the reversal charge
   of the forward prefix — and **retry decodes** are resolved through a
@@ -37,10 +39,7 @@ including the high-diameter path and ring adversaries.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.core._batch import normalize_faults
 from repro.core.path_description import SuccinctPath
@@ -69,19 +68,21 @@ class _Message:
     """Mutable per-message routing state (one slot of the batch)."""
 
     __slots__ = (
-        "s", "t", "fid", "status", "telemetry", "trace", "result",
+        "s", "t", "faults", "status", "telemetry", "trace", "result",
         # phase machinery (Section 5.2 trial-and-error)
         "scale", "iteration", "known", "known_eids", "known_local",
         "known_ok", "key", "pack", "ls", "lt",
         # the in-flight path attempt
-        "path", "seg_idx", "cur", "cur_local", "seg_target", "guard",
+        "path", "seg_idx", "cur", "cur_local",
         "fwd_hops", "fwd_weight", "fwd_trace",
     )
 
-    def __init__(self, s: int, t: int, fid: int):
+    def __init__(self, s: int, t: int, faults: frozenset):
         self.s = s
         self.t = t
-        self.fid = fid
+        #: the hidden fault set: edge ids, checked like the reference
+        #: network's set (ids outside 0..m-1 never match an edge)
+        self.faults = faults
         self.status = _DECODE
         self.telemetry = Telemetry()
         self.trace: list[int] = [s]
@@ -100,8 +101,6 @@ class _Message:
         self.seg_idx = 0
         self.cur = s
         self.cur_local = -1
-        self.seg_target = -1
-        self.guard = 0
         self.fwd_hops = 0
         self.fwd_weight = 0.0
         self.fwd_trace: list[int] = []
@@ -135,11 +134,6 @@ class PackedRouteEngine:
         self._w = csr.edge_weight
         #: (instance key, copy) -> presentation-order PartitionCache
         self._caches: dict[tuple, PartitionCache] = {}
-        self._masks: list[np.ndarray] = []
-        #: fault set -> boolean edge mask, LRU-bounded like the
-        #: partition caches: a scenario routing a stream of singles
-        #: against one live fault set pays the O(m) mask build once.
-        self._mask_memo: "OrderedDict[frozenset, np.ndarray]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Shared partition caches (the retry-decode path)
@@ -160,9 +154,10 @@ class PackedRouteEngine:
         """Aggregate hit/miss/size counters over every instance cache."""
         hits = misses = evictions = entries = 0
         for cache in self._caches.values():
-            hits += cache.stats.hits
-            misses += cache.stats.misses
-            evictions += cache.stats.evictions
+            st = cache.stats  # one registry dump per cache
+            hits += st.hits
+            misses += st.misses
+            evictions += st.evictions
             entries += len(cache)
         return {
             "caches": len(self._caches),
@@ -187,68 +182,32 @@ class PackedRouteEngine:
         """
         pairs = [(int(s), int(t)) for s, t in requests]
         per = normalize_faults(pairs, faults)
-        self._masks = []
-        mask_of: dict[frozenset, int] = {}
-        fids: list[int] = []
-        # A shared fault iterable is aliased across all messages by
-        # normalize_faults; key it once (same pattern as
-        # group_by_canonical_key).
-        prev: Optional[list[int]] = None
-        prev_fid = -1
-        for F in per:
-            if F is prev:
-                fids.append(prev_fid)
-                continue
-            prev = F
-            fs = frozenset(F)
-            fid = mask_of.get(fs)
-            if fid is None:
-                fid = len(self._masks)
-                mask_of[fs] = fid
-                self._masks.append(self._mask_for(fs))
-            prev_fid = fid
-            fids.append(fid)
         msgs = []
-        for (s, t), fid in zip(pairs, fids):
-            m = _Message(s, t, fid)
+        prev: Optional[list[int]] = None
+        for (s, t), F in zip(pairs, per):
+            # A shared fault iterable is aliased across all messages by
+            # normalize_faults; set it once.
+            if F is not prev:
+                prev, fs = F, frozenset(F)
+            m = _Message(s, t, fs)
             if s == t:
                 m.status = _DONE
                 m.result = RouteResult(
                     delivered=True, s=s, t=t, telemetry=m.telemetry,
                     trace=m.trace,
                 )
-            msgs.append(m)
-        for m in msgs:
-            if m.status == _DECODE:
+            else:
                 self._advance(m)
+            msgs.append(m)
+        # Rounds: follow every in-flight message to its next event,
+        # then run the retry decodes of the ones that bounced.
         follow = [m for m in msgs if m.status == _FOLLOW]
         while follow:
-            bounced = self._tick(follow)
+            bounced = [m for m in follow if self._follow(m)]
             for m in bounced:
                 self._advance(m)
-            follow = [m for m in msgs if m.status == _FOLLOW]
+            follow = [m for m in bounced if m.status == _FOLLOW]
         return [m.result for m in msgs]
-
-    def _mask_for(self, fs: frozenset) -> np.ndarray:
-        """The (memoized) boolean edge mask of one fault set.
-
-        Ids outside 0..m-1 never match an edge on the reference
-        engine's set-membership checks; they are dropped here too
-        instead of wrapping (negatives) or raising.
-        """
-        mask = self._mask_memo.get(fs)
-        if mask is not None:
-            self._mask_memo.move_to_end(fs)
-            return mask
-        m_edges = self.graph.m
-        mask = np.zeros(max(m_edges, 1), dtype=bool)
-        valid = [ei for ei in fs if 0 <= ei < m_edges]
-        if valid:
-            mask[np.asarray(sorted(valid), dtype=np.int64)] = True
-        self._mask_memo[fs] = mask
-        while len(self._mask_memo) > self.cache_capacity:
-            self._mask_memo.popitem(last=False)
-        return mask
 
     # ------------------------------------------------------------------
     # Phase machinery: scales, iterations, decodes
@@ -319,7 +278,6 @@ class PackedRouteEngine:
             m.fwd_weight = 0.0
             m.fwd_trace = []
             m.status = _FOLLOW
-            self._enter_segment(m)
             return
 
     def _decode(self, m: _Message, copy: int):
@@ -344,113 +302,65 @@ class PackedRouteEngine:
         part = self._cache(m.key, copy).partition(m.known_local)
         return part.answer(m.ls, m.lt, want_path=True)
 
-    def _enter_segment(self, m: _Message) -> None:
-        """Position the message at its current segment (or deliver)."""
-        while True:
-            if m.seg_idx >= len(m.path.segments):
-                if m.cur != m.path.t:  # pragma: no cover - defensive
-                    raise RuntimeError("path description did not terminate at t")
-                m.status = _DONE
-                tel = m.telemetry
-                m.result = RouteResult(
-                    delivered=True, s=m.s, t=m.t, telemetry=tel,
-                    length=tel.weighted, scale=m.scale, trace=m.trace,
-                )
-                return
-            seg = m.path.segments[m.seg_idx]
+    # ------------------------------------------------------------------
+    # Following a path
+    # ------------------------------------------------------------------
+    def _follow(self, m: _Message) -> bool:
+        """Walk ``m``'s path from ``seg_idx`` to its next event.
+
+        Returns True when the message bounced off a faulty edge (its
+        label is learned and a retry decode is due), False when it was
+        delivered.  A 1-segment is walked whole: its hops come from
+        :meth:`PackedTreeRouting.path` and the instance's hop tables,
+        and each is checked against the fault set in hop order.  Every
+        fault-free hop goes through :meth:`_move`, so weighted lengths
+        accumulate in hop order, as in the seed engine.
+        """
+        faults = m.faults
+        segments = m.path.segments
+        while m.seg_idx < len(segments):
+            seg = segments[m.seg_idx]
             if seg.kind == "edge":
                 if seg.port_x is None:
                     raise ValueError("path segment lacks port information")
-                return
-            if seg.kind == "tree":
-                m.cur_local = m.pack.local_of[m.cur]
-                m.seg_target = m.pack.local_of[seg.y]
-                m.guard = 0
-                return
-            raise ValueError(f"unknown segment kind {seg.kind!r}")
-
-    # ------------------------------------------------------------------
-    # The batched stepper
-    # ------------------------------------------------------------------
-    def _tick(self, follow: list) -> list:
-        """Advance every following message by one hop; return bounced."""
-        edge_msgs: list = []
-        tree_groups: dict = {}
-        for m in follow:
-            if m.path.segments[m.seg_idx].kind == "edge":
-                edge_msgs.append(m)
+                slot = int(self._indptr[m.cur]) + seg.port_x
+                ei = int(self._eids[slot])
+                if ei in faults:
+                    self._bounce_nontree(m)
+                    return True
+                self._move(m, int(self._nbr[slot]), float(self._w[ei]))
+            elif seg.kind == "tree":
+                pack = m.pack
+                up_ei, up_nbr, up_w, down_ei, down_nbr, down_w, down_port = (
+                    pack.hop_tables()
+                )
+                climb, descent = pack.tree.path(
+                    pack.local_of[m.cur], pack.local_of[seg.y]
+                )
+                for x in climb:  # x -> parent(x)
+                    if up_ei[x] in faults:
+                        m.cur_local = x
+                        self._bounce_tree(m, x, int(pack.tree.parent_port[x]))
+                        return True
+                    self._move(m, up_nbr[x], up_w[x])
+                for x in descent:  # parent(x) -> x
+                    if down_ei[x] in faults:
+                        m.cur_local = int(pack.tree.parent[x])
+                        self._bounce_tree(m, x, down_port[x])
+                        return True
+                    self._move(m, down_nbr[x], down_w[x])
             else:
-                tree_groups.setdefault(m.key, []).append(m)
-        bounced: list = []
-        if edge_msgs:
-            self._step_edges(edge_msgs, bounced)
-        for key, group in tree_groups.items():
-            self._step_tree_group(group, bounced)
-        return bounced
-
-    def _step_edges(self, msgs: list, bounced: list) -> None:
-        """0-segments: one gather over the CSR port arrays, then per-
-        message fault check / move."""
-        k = len(msgs)
-        U = np.fromiter((m.cur for m in msgs), dtype=np.int64, count=k)
-        P = np.fromiter(
-            (m.path.segments[m.seg_idx].port_x for m in msgs),
-            dtype=np.int64,
-            count=k,
-        )
-        slots = self._indptr[U] + P
-        V = self._nbr[slots]
-        EI = self._eids[slots]
-        W = self._w[EI]
-        masks = self._masks
-        for i, m in enumerate(msgs):
-            ei = int(EI[i])
-            if masks[m.fid][ei]:
-                self._bounce_nontree(m)
-                bounced.append(m)
-                continue
-            self._move(m, int(V[i]), float(W[i]))
+                raise ValueError(f"unknown segment kind {seg.kind!r}")
             m.seg_idx += 1
-            self._enter_segment(m)
-
-    def _step_tree_group(self, group: list, bounced: list) -> None:
-        """1-segments of one instance: batched next-hop + move/bounce."""
-        pack: PackedInstanceTables = group[0].pack
-        ptree = pack.tree
-        n_guard = self.graph.n + 2
-        k = len(group)
-        for m in group:
-            m.guard += 1
-            if m.guard > n_guard:  # pragma: no cover - defensive
-                raise RuntimeError("tree routing failed to converge")
-        LU = np.fromiter((m.cur_local for m in group), dtype=np.int64, count=k)
-        LT = np.fromiter((m.seg_target for m in group), dtype=np.int64, count=k)
-        action, port, nxt = ptree.next_hop_many(LU, LT)
-        moving = np.flatnonzero(action > 0)
-        if moving.size:
-            GU = pack.to_parent[LU[moving]]
-            slots = self._indptr[GU] + port[moving]
-            V = self._nbr[slots]
-            EI = self._eids[slots]
-            W = self._w[EI]
-        masks = self._masks
-        mi = 0
-        for i, m in enumerate(group):
-            act = int(action[i])
-            if act == 0:  # arrived at this segment's target
-                m.cur_local = m.seg_target
-                m.seg_idx += 1
-                self._enter_segment(m)
-                continue
-            ei = int(EI[mi])
-            if masks[m.fid][ei]:
-                child = m.cur_local if act == 1 else int(nxt[i])
-                self._bounce_tree(m, child, int(port[i]))
-                bounced.append(m)
-            else:
-                self._move(m, int(V[mi]), float(W[mi]))
-                m.cur_local = int(nxt[i])
-            mi += 1
+        if m.cur != m.path.t:  # pragma: no cover - defensive
+            raise RuntimeError("path description did not terminate at t")
+        m.status = _DONE
+        tel = m.telemetry
+        m.result = RouteResult(
+            delivered=True, s=m.s, t=m.t, telemetry=tel,
+            length=tel.weighted, scale=m.scale, trace=m.trace,
+        )
+        return False
 
     # ------------------------------------------------------------------
     # Moves, bounces, reversals (per message; identical charging to the
@@ -503,14 +413,13 @@ class PackedRouteEngine:
             gports, _members = pack.tree.gamma_row(child)
             u = int(pack.to_parent[lu])
             base = int(self._indptr[u])
-            mask = self._masks[m.fid]
             tel = m.telemetry
             found = False
             for gp in gports:
                 if gp == port:
                     continue
                 ei = int(self._eids[base + gp])
-                if mask[ei]:
+                if ei in m.faults:
                     continue
                 tel.hops += 2
                 tel.weighted += 2.0 * float(self._w[ei])

@@ -12,8 +12,9 @@ sources of truth:
   :meth:`TreeRoutingScheme.packed` — contiguous numpy arrays over the
   instance's local vertex ids, computed from the *same*
   ancestry/heavy-light decomposition the wire-format tables encode, so
-  packed next-hop decisions equal
-  :meth:`TreeRoutingScheme.next_hop` bit for bit;
+  packed tree paths take the hops :meth:`TreeRoutingScheme.next_hop`
+  takes; per-vertex hop tables map each tree edge onto its global edge
+  id, neighbour and weight;
 * edge routing labels are **not** materialized up front.  The seed
   tables eagerly build every tree edge's label (child-subtree sketches
   included) and replicate it over its Γ holders; the packed plane
@@ -26,7 +27,7 @@ sources of truth:
   ``InducedSubgraph`` maps.
 
 :class:`PackedRoutingPlane` is the whole-scheme store the batched
-message stepper (:mod:`repro.routing.packed_engine`) walks; the seed
+routing engine (:mod:`repro.routing.packed_engine`) walks; the seed
 per-vertex tables remain available behind
 ``FaultTolerantRouter(engine="reference")`` and for the bit-accounting
 APIs (``table_bits`` builds them lazily).
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.core.distance_labels import DistanceLabelScheme, InstanceKey, LabelInstance
 from repro.core.sketch_scheme import SkEdgeLabel
+from repro.graph.csr import CsrGraph
 from repro.trees.tree_routing import PackedTreeRouting
 
 
@@ -47,10 +49,10 @@ class PackedInstanceTables:
     """One (scale, cluster) instance's routing state, array-resident.
 
     Wraps the instance's :class:`PackedTreeRouting` arrays with the
-    global↔local maps and the lazy edge-label store the fault
-    bounce-back needs.  ``simple`` selects the Theorem 5.5 layout
-    (every vertex holds all incident tree-edge labels) over the
-    Γ-replicated Theorem 5.8 one.
+    global↔local maps, the hop tables a tree-segment walk reads, and
+    the lazy edge-label store the fault bounce-back needs.  ``simple``
+    selects the Theorem 5.5 layout (every vertex holds all incident
+    tree-edge labels) over the Γ-replicated Theorem 5.8 one.
     """
 
     __slots__ = (
@@ -62,10 +64,14 @@ class PackedInstanceTables:
         "parent_edge",
         "component",
         "simple",
+        "_csr",
+        "_hops",
         "_labels",
     )
 
-    def __init__(self, key: InstanceKey, inst: LabelInstance, simple: bool):
+    def __init__(
+        self, key: InstanceKey, inst: LabelInstance, simple: bool, csr: CsrGraph
+    ):
         if inst.tree_routing is None:
             raise ValueError("instance lacks tree routing state")
         self.key = key
@@ -78,7 +84,46 @@ class PackedInstanceTables:
         self.parent_edge = inst.tree.parent_edge
         self.component = int(inst.scheme.comp_of[inst.tree.root])
         self.simple = simple
+        #: the global network's CSR port arrays
+        self._csr = csr
+        self._hops: Optional[tuple] = None
         self._labels: dict[int, SkEdgeLabel] = {}
+
+    def hop_tables(self) -> tuple:
+        """The global hops over each tree edge, as per-vertex lists.
+
+        For every local vertex ``x`` below the root, the up hop
+        ``x -> parent(x)`` is CSR slot ``indptr[to_parent[x]] +
+        parent_port[x]``, and the down hop ``parent(x) -> x`` is the
+        slot at the parent's global vertex plus ``x``'s ``child_port``:
+        the edge and port the Fact 5.1 next-hop rule picks.  Returns
+        ``(up_ei, up_nbr, up_w, down_ei, down_nbr, down_w, down_port)``
+        — each hop's global edge id, neighbour and weight, and the down
+        hop's port.  The root's entries are never read.  Derived on
+        first use and never persisted.
+        """
+        hops = self._hops
+        if hops is None:
+            tree, csr = self.tree, self._csr
+            n = tree.parent.size
+            below = np.flatnonzero(tree.parent >= 0)
+            down_port = np.full(n, -1, dtype=np.int64)
+            down_port[tree.child_local] = tree.child_port
+            hops = ()
+            for at, port in (
+                (self.to_parent[below], tree.parent_port[below]),
+                (self.to_parent[tree.parent[below]], down_port[below]),
+            ):
+                slots = csr.indptr[at] + port
+                ei = np.full(n, -1, dtype=np.int64)
+                ei[below] = csr.edge_ids[slots]
+                nbr = np.full(n, -1, dtype=np.int64)
+                nbr[below] = csr.neighbors[slots]
+                w = np.zeros(n, dtype=np.float64)
+                w[below] = csr.edge_weight[ei[below]]
+                hops += (ei.tolist(), nbr.tolist(), w.tolist())
+            hops = self._hops = hops + (down_port.tolist(),)
+        return hops
 
     def tree_edge_label(self, child: int) -> SkEdgeLabel:
         """The routing label of the tree edge (parent(child), child).
@@ -124,8 +169,9 @@ class PackedRoutingPlane:
         self.mode = mode
         self.f = f
         simple = mode == "simple"
+        csr = scheme.graph.as_csr()
         self.instances: dict[InstanceKey, PackedInstanceTables] = {
-            key: PackedInstanceTables(key, inst, simple)
+            key: PackedInstanceTables(key, inst, simple, csr)
             for key, inst in scheme.instances.items()
         }
 

@@ -78,27 +78,25 @@ class PackedTreeRouting:
     Flattens everything :meth:`TreeRoutingScheme.next_hop` reads — DFS
     intervals, parent/heavy ports, per-child light-edge ports, and the
     Γ_T(e) port blocks of Claim 5.6 — into contiguous numpy arrays over
-    the tree's (local) vertex ids, so a batched message stepper can
-    compute next hops for many in-flight messages with gathers instead
-    of per-hop table objects and label decoding.
+    the tree's (local) vertex ids, so the routing engine walks a whole
+    tree path (:meth:`path`) without per-hop table objects or label
+    decoding.
 
     Layout (all indexed by local vertex id unless noted):
 
     * ``tin``/``tout`` — the same DFS intervals the wire-format tables
       carry (shared with the scheme's :class:`AncestryLabeling`, so
-      packed decisions equal :meth:`TreeRoutingScheme.next_hop` bit for
-      bit);
+      packed paths follow :meth:`TreeRoutingScheme.next_hop` hop for
+      hop);
     * ``parent``/``parent_port`` — tree parent and the port towards it
       (-1 at the root);
     * ``heavy``/``heavy_port``/``heavy_tin``/``heavy_tout`` — the heavy
       child fields of :class:`TreeTable`;
     * ``child_indptr``/``child_local``/``child_tin``/``child_tout``/
       ``child_port`` — CSR rows of each vertex's children sorted by
-      ``tin``: the child on the path towards a target inside the
-      subtree is found by one ``searchsorted`` on its ``tin`` (packed
-      stand-in for scanning the target label's light entries — same
-      edge, same port, because light entries record exactly these
-      (parent, child) ports);
+      ``tin``; ``child_port`` is the port at the parent towards each
+      child, the port of a descending hop (the heavy port or the
+      target label's light entry: the same edge either way);
     * ``gamma_indptr``/``gamma_port``/``gamma_member`` — CSR rows *per
       child* ``c``: the ports at ``parent(c)`` towards the Γ members of
       the edge (parent(c), c) and the members themselves, in the exact
@@ -107,11 +105,16 @@ class PackedTreeRouting:
     * ``stores_child`` — per vertex, whether it holds its child-edge
       labels itself (the small-degree case of Claim 5.6; always true
       without Γ mode).
+
+    :meth:`path` reads only ``tin``/``tout``/``parent``; the ``heavy*``
+    fields and ``child_tin``/``child_tout`` stay in the persisted
+    layout unread.
     """
 
     #: the slots persisted by the snapshot store; ``__slots__`` is
-    #: derived from this plus the load-time-derived ``child_key``, so a
-    #: new array field cannot silently miss the persisted set.
+    #: derived from this plus ``_walk`` (list mirrors for :meth:`path`,
+    #: built on first use), so a new array field cannot silently miss
+    #: the persisted set.
     _ARRAY_FIELDS = (
         "tin", "tout", "parent", "parent_port",
         "heavy", "heavy_port", "heavy_tin", "heavy_tout",
@@ -120,7 +123,7 @@ class PackedTreeRouting:
         "gamma_indptr", "gamma_port", "gamma_member", "stores_child",
     )
 
-    __slots__ = _ARRAY_FIELDS + ("child_key",)
+    __slots__ = _ARRAY_FIELDS + ("_walk",)
 
     def __init__(self, scheme: "TreeRoutingScheme"):
         tree = scheme.tree
@@ -200,19 +203,7 @@ class PackedTreeRouting:
         self.stores_child = np.asarray(
             [scheme.stores_child_labels(v) for v in range(n)], dtype=bool
         )
-        self._finalize()
-
-    def _finalize(self) -> None:
-        """Derive the composite search keys of the child CSR.
-
-        ``child_key[i] = parent(child_i) * (2n+2) + tin(child_i)`` is
-        globally ascending (slots are grouped by parent and tin-sorted
-        within each group, and tin < 2n+2), so one ``searchsorted``
-        over the whole array answers the per-row light-child lookup for
-        every message at once (see :meth:`next_hop_many`).
-        """
-        big = np.int64(2 * self.tin.size + 2)
-        self.child_key = self.parent[self.child_local] * big + self.child_tin
+        self._walk = None
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.store)
@@ -226,76 +217,69 @@ class PackedTreeRouting:
         """Rebuild a packed view from :meth:`__arrays__` output.
 
         Accepts read-only (memory-mapped) arrays — every kernel on this
-        class only reads them — and recomputes the derived search keys.
+        class only reads them; :meth:`path`'s list mirrors are rebuilt
+        on first use.
         """
         self = object.__new__(cls)
         for name in cls._ARRAY_FIELDS:
             setattr(self, name, arrays[name])
-        self._finalize()
+        self._walk = None
         return self
 
-    def next_hop_many(
-        self, lu: np.ndarray, lt: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`TreeRoutingScheme.next_hop` on local vertices.
+    def path(self, lu: int, lt: int) -> tuple[list[int], list[int]]:
+        """The tree path from local vertex ``lu`` to ``lt``, hop by hop.
 
-        Returns ``(action, port, nxt)`` arrays: ``action`` is 0 when the
-        message has arrived (``lu == lt``), 1 for a parent hop, 2 for a
-        heavy-child hop, 3 for a light-child hop; ``port`` is the chosen
-        port at ``lu`` (undefined for action 0) and ``nxt`` the local
-        vertex it leads to.  Decisions are identical to the scalar
-        table/label computation: the same interval containment tests in
-        the same order, and the light child is the unique child whose
-        interval contains the target's — the edge the target label's
-        light entry records.
+        Returns ``(climb, descent)`` in hop order: the path leaves each
+        vertex ``x`` of ``climb`` for ``parent[x]`` (on port
+        ``parent_port[x]``), then enters each vertex ``x`` of
+        ``descent`` from ``parent[x]`` (on ``x``'s ``child_port``).  It
+        climbs while ``lt``'s DFS interval lies outside the current
+        vertex's (the interval test of :meth:`TreeRoutingScheme.next_hop`)
+        and then descends ``lt``'s ancestor chain below that LCA:
+        each step enters the unique child whose subtree holds ``lt``,
+        which is the heavy or light child the next-hop rule picks.  So
+        the hops are exactly those of iterating ``next_hop`` (Fact 5.1)
+        until it reports arrival.
+
+        Each half is bounded by the vertex count, so a corrupt tree
+        raises instead of hanging: a climb past the root raises
+        ``ValueError("target outside the tree")`` and a cyclic parent
+        array raises ``RuntimeError``.
         """
-        tin, tout = self.tin, self.tout
-        action = np.zeros(lu.size, dtype=np.int64)
-        port = np.full(lu.size, -1, dtype=np.int64)
-        nxt = np.full(lu.size, -1, dtype=np.int64)
-        moving = lu != lt
-        if not moving.any():
-            return action, port, nxt
-        t_tin = tin[lt]
-        t_tout = tout[lt]
-        inside = (tin[lu] <= t_tin) & (t_tout <= tout[lu]) & moving
-        up = moving & ~inside
-        if up.any():
-            if (self.parent[lu[up]] < 0).any():
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = (
+                self.tin.tolist(), self.tout.tolist(), self.parent.tolist()
+            )
+        tin, tout, parent = walk
+        t_in, t_out = tin[lt], tout[lt]
+        bound = range(len(parent))
+        climb: list[int] = []
+        x = lu
+        for _ in bound:
+            if tin[x] <= t_in and t_out <= tout[x]:
+                break
+            climb.append(x)
+            x = parent[x]
+            if x < 0:
                 raise ValueError("target outside the tree")
-            action[up] = 1
-            port[up] = self.parent_port[lu[up]]
-            nxt[up] = self.parent[lu[up]]
-        hv = inside & (self.heavy[lu] >= 0) \
-            & (self.heavy_tin[lu] <= t_tin) & (t_tout <= self.heavy_tout[lu])
-        if hv.any():
-            action[hv] = 2
-            port[hv] = self.heavy_port[lu[hv]]
-            nxt[hv] = self.heavy[lu[hv]]
-        light = inside & ~hv
-        if light.any():
-            # One ragged searchsorted for every light-child lookup: the
-            # composite keys make the per-parent CSR rows one globally
-            # sorted array, so ``searchsorted(child_key, u*(2n+2)+t_tin,
-            # "right") - 1`` lands on exactly the slot the per-row
-            # search found (earlier rows' keys are < u*(2n+2), later
-            # rows' are > any key of row u).
-            li = np.flatnonzero(light)
-            u = lu[li]
-            tt = t_tin[li]
-            big = np.int64(2 * tin.size + 2)
-            pos = np.searchsorted(self.child_key, u * big + tt, side="right") - 1
-            ok = pos >= self.child_indptr[u]
-            pos = np.maximum(pos, 0)
-            ok &= (self.child_tin[pos] <= tt) & (t_tout[li] <= self.child_tout[pos])
-            if not ok.all():  # pragma: no cover - implies a corrupt tree label
+        else:
+            raise RuntimeError("tree routing failed to converge")
+        descent: list[int] = []
+        y = lt
+        for _ in bound:
+            if y == x:
+                break
+            descent.append(y)
+            y = parent[y]
+            if y < 0:
                 raise ValueError(
                     "inconsistent tree label: no light entry at this vertex"
                 )
-            action[li] = 3
-            port[li] = self.child_port[pos]
-            nxt[li] = self.child_local[pos]
-        return action, port, nxt
+        else:
+            raise RuntimeError("tree routing failed to converge")
+        descent.reverse()
+        return climb, descent
 
     def gamma_row(self, child: int) -> tuple[list[int], list[int]]:
         """``(ports, members)`` of the Γ block replicating the label of

@@ -217,3 +217,29 @@ def test_out_of_range_fault_ids_match_reference():
         router.route_many([(4, 7), (0, 15)], weird, engine="packed"),
         router.route_many([(4, 7), (0, 15)], weird, engine="reference"),
     )
+
+
+@pytest.mark.parametrize("mode", ["simple", "balanced"])
+@pytest.mark.parametrize("name,make", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_on_route_faults_bit_identical(name, make, mode):
+    """Two faults on each message's own fault-free walk: the first
+    attempt retraces that walk, so every message bounces, and most
+    learn a second fault on the retry path.  Every third message
+    fails the walk's first and last edge."""
+    graph = make()
+    router = FaultTolerantRouter(graph, f=2, k=2, seed=7, table_mode=mode)
+    rnd = random.Random(41)
+    pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(24)]
+    per = []
+    for i, res in enumerate(router.route_many(pairs, [])):
+        walk = list(dict.fromkeys(
+            graph.edge_index_between(u, v) for u, v in zip(res.trace, res.trace[1:])
+        ))
+        if i % 3 == 0:
+            per.append(list(dict.fromkeys((walk[0], walk[-1]))))
+        else:
+            per.append(rnd.sample(walk, min(2, len(walk))))
+    packed = router.route_many(pairs, per, engine="packed")
+    reference = router.route_many(pairs, per, engine="reference")
+    _assert_identical(packed, reference)
+    assert all(r.telemetry.reversals >= 1 for r in reference)

@@ -177,57 +177,62 @@ class TestSizes:
             assert scheme.table_bits(v) > 0
 
 
+def _path_hops(packed, u, t):
+    """:meth:`PackedTreeRouting.path` as (vertex reached, port taken) hops."""
+    climb, descent = packed.path(u, t)
+    down_port = dict(zip(packed.child_local.tolist(), packed.child_port.tolist()))
+    return [(int(packed.parent[x]), int(packed.parent_port[x])) for x in climb] + [
+        (x, down_port[x]) for x in descent
+    ]
+
+
 class TestPackedNextHopMany:
-    """The batched (ragged-searchsorted) next-hop engine vs the scalar
-    table/label computation, and the snapshot array protocol."""
+    """The packed tree-path kernel vs iterating the scalar table/label
+    next hop, and the snapshot array protocol.  The test names predate
+    :meth:`PackedTreeRouting.path`, which replaced a batched one-hop
+    kernel; each pair now checks its whole path."""
 
     @pytest.mark.parametrize("gamma_f", [None, 2])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_next_hop_many_matches_scalar_all_pairs(self, seed, gamma_f):
-        import numpy as np
-
         g = generators.random_connected_graph(40, extra_edges=50, seed=seed)
         tree = RootedTree.bfs(g, root=0)
         scheme = TreeRoutingScheme(tree, gamma_f=gamma_f)
         packed = scheme.packed()
         tables = {v: scheme.table(v) for v in tree.vertices}
         labels = {v: scheme.label(v) for v in tree.vertices}
-        pairs = [(u, t) for u in tree.vertices for t in tree.vertices]
-        lu = np.array([p[0] for p in pairs], dtype=np.int64)
-        lt = np.array([p[1] for p in pairs], dtype=np.int64)
-        action, port, nxt = packed.next_hop_many(lu, lt)
-        for i, (u, t) in enumerate(pairs):
-            hop = TreeRoutingScheme.next_hop(tables[u], labels[t])
-            if hop is None:
-                assert action[i] == 0
-                continue
-            assert action[i] > 0
-            assert port[i] == hop[0]
-            assert g.via_port(u, int(port[i]))[0] == int(nxt[i])
+        for u in tree.vertices:
+            for t in tree.vertices:
+                expected = []
+                cur = u
+                for _ in range(g.n):
+                    hop = TreeRoutingScheme.next_hop(tables[cur], labels[t])
+                    if hop is None:
+                        break
+                    cur = g.via_port(cur, hop[0])[0]
+                    expected.append((cur, hop[0]))
+                else:
+                    raise AssertionError("scalar next hops did not arrive")
+                assert _path_hops(packed, u, t) == expected
 
     def test_next_hop_many_star_exercises_wide_light_rows(self):
-        """A star root has n-1 light children — the ragged searchsorted
-        must pick the exact child for every target."""
-        import numpy as np
-
+        """A star root has n-1 light children — the path to each leaf
+        must be one hop on exactly that leaf's port."""
         g = Graph(33)
         for v in range(1, 33):
             g.add_edge(0, v)
         tree = RootedTree.bfs(g, root=0)
-        scheme = TreeRoutingScheme(tree)
-        packed = scheme.packed()
-        targets = np.arange(1, 33, dtype=np.int64)
-        lu = np.zeros(32, dtype=np.int64)
-        action, port, nxt = packed.next_hop_many(lu, targets)
-        # the heavy child takes action 2; every other hop is light (3)
-        assert (nxt == targets).all()
-        assert sorted(port.tolist()) == list(range(32))
-        assert set(action.tolist()) <= {2, 3}
+        packed = TreeRoutingScheme(tree).packed()
+        ports = []
+        for leaf in range(1, 33):
+            [(reached, port)] = _path_hops(packed, 0, leaf)
+            assert reached == leaf
+            assert g.via_port(0, port)[0] == leaf
+            ports.append(port)
+        assert sorted(ports) == list(range(32))
 
     def test_packed_arrays_round_trip(self):
         """__arrays__ / from_arrays rebuild an equivalent packed view."""
-        import numpy as np
-
         from repro.trees.tree_routing import PackedTreeRouting
 
         g = generators.random_connected_graph(36, extra_edges=44, seed=3)
@@ -237,14 +242,33 @@ class TestPackedNextHopMany:
         arrays = packed.__arrays__()
         assert set(arrays) == set(PackedTreeRouting._ARRAY_FIELDS)
         clone = PackedTreeRouting.from_arrays(arrays)
-        lu = np.array([v for v in tree.vertices for _ in (0, 1)], dtype=np.int64)
-        lt = np.array(
-            [t for _ in tree.vertices for t in (tree.vertices[0], tree.vertices[-1])],
-            dtype=np.int64,
-        )
-        a1 = packed.next_hop_many(lu, lt)
-        a2 = clone.next_hop_many(lu, lt)
-        for x, y in zip(a1, a2):
-            assert (x == y).all()
+        for v in tree.vertices:
+            for t in (tree.vertices[0], tree.vertices[-1]):
+                assert clone.path(v, t) == packed.path(v, t)
         for child in range(g.n):
             assert packed.gamma_row(child) == clone.gamma_row(child)
+
+    def test_corrupt_tree_raises_instead_of_looping(self):
+        """Both halves of the path are bounded by the vertex count: a
+        cyclic parent array raises, and so does a target the climb
+        cannot reach."""
+        from repro.trees.tree_routing import PackedTreeRouting
+
+        g = generators.grid_graph(1, 6)  # the path 0-1-2-3-4-5
+        tree = RootedTree.bfs(g, root=0)
+        arrays = dict(TreeRoutingScheme(tree).packed().__arrays__())
+        parent = arrays["parent"].copy()
+        parent[1] = 2  # 1 <-> 2 is now a cycle cutting off the root
+        arrays["parent"] = parent
+        broken = PackedTreeRouting.from_arrays(arrays)
+        with pytest.raises(RuntimeError):
+            broken.path(5, 0)  # the climb circles 1 <-> 2
+        with pytest.raises(RuntimeError):
+            broken.path(0, 5)  # the descent never meets the root
+
+        forest = Graph(5)
+        for u, v in ((0, 1), (1, 2), (3, 4)):
+            forest.add_edge(u, v)
+        packed = TreeRoutingScheme(RootedTree.bfs(forest, root=0)).packed()
+        with pytest.raises(ValueError, match="target outside the tree"):
+            packed.path(1, 3)
