@@ -80,18 +80,24 @@ def prf_int_pairs(
     length-prefixed framings of the integer operands are pure values, so
     a persistent cache (e.g. one per ``UidScheme``) amortizes them to a
     dict hit — the decoder validates candidate streams whose ids repeat
-    heavily across batches.
+    heavily across batches.  The keyed, label-framed BLAKE2b state every
+    pair starts from is a pure value too, cached under
+    ``(seed, label, bits)``.
     """
-    key = _prf_key(seed)
     size = (bits + 7) // 8
     mask = (1 << bits) - 1
     from_bytes = int.from_bytes
-    framed: dict[int, bytes] = {} if frame_cache is None else frame_cache
+    framed: dict = {} if frame_cache is None else frame_cache
     framed_get = framed.get
     digest_size = min(size, 64)
-    base = hashlib.blake2b(_frame(label), key=key, digest_size=digest_size)
+    base = framed_get((seed, label, bits))
+    if base is None:
+        base = framed[(seed, label, bits)] = hashlib.blake2b(
+            _frame(label), key=_prf_key(seed), digest_size=digest_size
+        )
     base_copy = base.copy
     extend = size > digest_size  # one digest already covers the output
+    key = _prf_key(seed) if extend else b""
     out: list[int] = []
     for a, b in pairs:
         fa = framed_get(a)

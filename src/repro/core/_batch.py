@@ -27,6 +27,20 @@ def check_fault_ids(ids: Sequence[int], m: int) -> None:
         raise ValueError(f"fault edge id {bad} out of range for m={m}")
 
 
+def check_vertex_ids(pairs: Sequence, n: int) -> None:
+    """Raise ``ValueError`` if any vertex of ``pairs`` lies outside
+    ``0..n-1``.
+
+    Label stores are per-vertex lists and arrays, where ``-1`` would
+    silently answer for vertex ``n - 1`` and ``n`` would raise a bare
+    ``IndexError``.
+    """
+    for s, t in pairs:
+        if not (0 <= s < n and 0 <= t < n):
+            bad = t if 0 <= s < n else s
+            raise ValueError(f"vertex id {bad} out of range for n={n}")
+
+
 def normalize_faults(
     pairs: Sequence, faults, m: Optional[int] = None
 ) -> list[list[int]]:

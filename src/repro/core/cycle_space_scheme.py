@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro._util import derive_seed
-from repro.core._batch import check_fault_ids, normalize_faults
+from repro.core._batch import check_fault_ids, check_vertex_ids, normalize_faults
 from repro.cycle_space.labels import CycleSpaceLabels
 from repro.graph.ancestry import (
     AncestryLabeling,
@@ -152,6 +152,7 @@ class PreparedFaultSet:
         augmented columns from the prepared bases and solve the two
         GF(2) systems."""
         comp_v, tin, tout = self._comp_v, self._tin, self._tout
+        check_vertex_ids([(s, t)], len(comp_v))
         cs = comp_v[s]
         if cs != comp_v[t]:
             return False
@@ -443,7 +444,10 @@ class CycleSpaceConnectivityScheme:
         augmented columns and the same GF(2) solves — read off the
         packed store instead of per-object labels (the solve itself is
         already O((f + log n) f^2) per query and stays per query).
+        Vertex ids outside ``0..n-1`` and fault ids outside ``0..m-1``
+        raise ``ValueError``.
         """
+        check_vertex_ids(pairs, self.graph.n)
         per = normalize_faults(pairs, faults, m=self.graph.m)
         if self.engine == "reference":
             return [
@@ -539,6 +543,7 @@ class CycleSpaceConnectivityScheme:
         Delegates to the batched path with batch size 1 on the default
         engine; ``engine="reference"`` runs the seed label decoder.
         """
+        check_vertex_ids([(s, t)], self.graph.n)
         faults = [int(ei) for ei in faults]
         check_fault_ids(faults, self.graph.m)
         if self.engine == "csr":

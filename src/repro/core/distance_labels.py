@@ -38,7 +38,7 @@ import numpy as np
 
 from repro._util import derive_seed
 from repro._util.build_pool import BuildPool
-from repro.core._batch import check_fault_ids, normalize_faults
+from repro.core._batch import check_fault_ids, check_vertex_ids, normalize_faults
 from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
 from repro.core.sketch_scheme import RoutingAugmentation, SketchConnectivityScheme
 from repro.graph.graph import Graph, InducedSubgraph
@@ -405,9 +405,10 @@ class DistancePartition:
         whose home-cluster instance reports s-t connected under the
         instance-local faults; ``math.inf`` when no scale connects.
         """
+        scheme = self.scheme
+        check_vertex_ids([(s, t)], scheme.graph.n)
         if s == t:
             return 0.0
-        scheme = self.scheme
         vmem = scheme._vertex_membership
         i_star = scheme._i_star[s]
         for i in range(scheme.K + 1):
@@ -706,9 +707,12 @@ class DistanceLabelScheme:
         home-cluster instance and answered through that instance
         scheme's batched ``query_many`` (faults mapped to instance-local
         edge ids via the membership tables), so the underlying Boruvka
-        or GF(2) decodes run over whole query groups at once.
+        or GF(2) decodes run over whole query groups at once.  Vertex
+        ids outside ``0..n-1`` and fault ids outside ``0..m-1`` raise
+        ``ValueError``.
         """
         pairs = list(pairs)
+        check_vertex_ids(pairs, self.graph.n)
         per = normalize_faults(pairs, faults, m=self.graph.m)
         if self.engine == "reference":
             return [
@@ -802,6 +806,7 @@ class DistanceLabelScheme:
     # ------------------------------------------------------------------
     def query(self, s: int, t: int, faults: Iterable[int], copy: int = 0) -> float:
         """Full-pipeline estimate of dist(s, t; G \\ F)."""
+        check_vertex_ids([(s, t)], self.graph.n)
         faults = [int(ei) for ei in faults]
         check_fault_ids(faults, self.graph.m)
         result = self.decode(

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core._batch import check_fault_ids, normalize_faults
+from repro.core._batch import check_fault_ids, check_vertex_ids, normalize_faults
 from repro.graph.ancestry import (
     AncestryLabeling,
     AncLabel,
@@ -82,6 +82,7 @@ class ForestPartition:
 
     def connected(self, s: int, t: int) -> bool:
         """Exact s-t connectivity in ``forest \\ F``, O(1) per query."""
+        check_vertex_ids([(s, t)], len(self.group_of))
         return bool(self.group_of[s] == self.group_of[t])
 
     # uniform partition protocol: the native answer type is bool
@@ -90,6 +91,7 @@ class ForestPartition:
     def answer_many(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Batched :meth:`connected`; equals ``query_many`` exactly."""
         g = self.group_of
+        check_vertex_ids(pairs, len(g))
         return [bool(g[s] == g[t]) for s, t in pairs]
 
 
@@ -185,8 +187,11 @@ class ForestConnectivityScheme:
         The forest decoder is a pure interval predicate, so the whole
         batch vectorizes: for every (query, fault) cell, the failed
         edge separates s from t iff it lies on exactly one of the
-        root-s / root-t paths — one boolean tensor reduction.
+        root-s / root-t paths — one boolean tensor reduction.  Vertex
+        ids outside ``0..n-1`` and fault ids outside ``0..m-1`` raise
+        ``ValueError``.
         """
+        check_vertex_ids(pairs, self.graph.n)
         per = normalize_faults(pairs, faults, m=self.graph.m)
         comp_v, tin, tout, comp_e, tin_u, tout_u, tin_v, tout_v = (
             self._packed_store()

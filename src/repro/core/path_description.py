@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.graph.graph import Graph
 from repro.graph.spanning_tree import RootedTree
+from repro.sizing.bits import bits_for_id
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,6 @@ class SuccinctPath:
 
     def bit_length(self, n: int) -> int:
         """Header size of the description: O(f log n) bits."""
-        from repro.sizing.bits import bits_for_id
-
         per_vertex = bits_for_id(n)
         bits = 2 * per_vertex  # s and t
         for seg in self.segments:

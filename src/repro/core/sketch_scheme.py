@@ -43,7 +43,7 @@ import numpy as np
 from repro._util import derive_seed
 from repro._util.build_pool import BuildPool, split_ranges
 from repro.obs import PhaseTimer
-from repro.core._batch import check_fault_ids, normalize_faults
+from repro.core._batch import check_fault_ids, check_vertex_ids, normalize_faults
 from repro.core.component_tree import ComponentForest, orient_tree_edge
 from repro.core.path_description import PathSegment, SuccinctPath
 from repro.graph.ancestry import AncestryLabeling, AncLabel, stitched_intervals
@@ -252,6 +252,7 @@ class FaultSetPartition:
 
     def connected(self, s: int, t: int) -> bool:
         """s-t connectivity in ``G \\ F`` (w.h.p.), O(log f) per query."""
+        check_vertex_ids([(s, t)], self.scheme.graph.n)
         return self.group(s) == self.group(t)
 
     def answer(self, s: int, t: int, want_path: bool = True) -> SkDecodeResult:
@@ -266,9 +267,11 @@ class FaultSetPartition:
         Identical to :meth:`SketchConnectivityScheme.query_many` on the
         same pairs with this partition's fault set (Lemma 3.17 paths
         assembled from the recorded merges), but with no per-query
-        Boruvka work left — just locate + union-find.
+        Boruvka work left — just locate + union-find.  Vertex ids
+        outside ``0..n-1`` raise ``ValueError``.
         """
         scheme = self.scheme
+        check_vertex_ids(pairs, scheme.graph.n)
         st = scheme._packed_store()
         comp_v, vid, tin, tout = st.comp_v, st.vid, st.tin, st.tout
         routing = scheme._routing
@@ -345,8 +348,8 @@ def _mix_words(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     modulo 2^64 with odd multipliers, as one ``uint64`` matrix-vector
     product.
 
-    Used as a vectorized membership prefilter against the real-edge
-    words; collisions are resolved by exact row comparison, so the mix
+    A sorted-fingerprint search finds each word row's candidate real
+    edge, and an exact row comparison decides membership, so the mix
     only affects speed, never answers.  The fingerprints are derived in
     ``_packed_store()`` and never persisted, so the mix is free to
     change.
@@ -1261,47 +1264,67 @@ class SketchConnectivityScheme:
     def decode_partition(
         self, faults: Iterable[int], copy: int = 0
     ) -> "FaultSetPartition":
-        """One Boruvka decode, all same-fault queries (Claim 3.16).
+        """One Boruvka decode, all same-fault queries (Claim 3.16): the
+        batch of one of :meth:`decode_partitions`."""
+        return self.decode_partitions([faults], copy=copy)[0]
+
+    def decode_partitions(
+        self, fault_lists: Iterable[Iterable[int]], copy: int = 0
+    ) -> list["FaultSetPartition"]:
+        """One :class:`FaultSetPartition` per fault list, from a single
+        :meth:`_partition_batch` run.
 
         Factored out of :meth:`query_many`: the per-component
         ``(forest, union_find, merges, phases)`` state the batched
         decoder computes for a hard query is a pure function of the
         fault set, so computing it once per fault set answers *every*
-        (s, t) pair under those faults.  ``faults`` are edge indices;
-        the returned :class:`FaultSetPartition` covers all graph
-        components (the per-query w.h.p. guarantee of Theorem 3.7
-        applies to the fault set as a whole).
+        (s, t) pair under those faults.  Fault lists are edge indices;
+        each partition covers all graph components (the per-query
+        w.h.p. guarantee of Theorem 3.7 applies to the fault set as a
+        whole).  A list's partition does not depend on the other lists
+        of the call — batching only shares the fixed per-call cost.
 
         This is the entry point the serving layer's partition cache
-        (:mod:`repro.serving.partition_cache`) memoizes.  Requires the
-        vectorized engine — the packed store is the partition's
-        substrate; the label-level sibling is
+        (:mod:`repro.serving.partition_cache`) resolves its misses
+        through.  Requires the vectorized engine — the packed store is
+        the partition's substrate; the label-level sibling is
         :meth:`decode_partition_labels`.  Ids outside ``0..m-1`` raise
-        ``ValueError``.
+        ``ValueError`` before anything is decoded.
         """
-        faults = [int(ei) for ei in faults]
-        check_fault_ids(faults, self.graph.m)
+        lists = [[int(ei) for ei in faults] for faults in fault_lists]
+        m = self.graph.m
+        for faults in lists:
+            check_fault_ids(faults, m)
         st = self._packed_store()
         comp_e, is_tree = st.comp_e, st.is_tree
-        order: list[int] = []
-        seen: set[int] = set()
-        per_comp: dict[int, tuple[list[int], list[int]]] = {}
-        for ei in faults:
-            if ei in seen:
-                continue
-            seen.add(ei)
-            order.append(ei)
-            c = comp_e[ei]
-            bucket = per_comp.get(c)
-            if bucket is None:
-                bucket = per_comp[c] = ([], [])
-            bucket[0].append(ei)
-            if is_tree[ei]:
-                bucket[1].append(ei)
-        tasks = [(c, fl, tf) for c, (fl, tf) in per_comp.items() if tf]
-        parts = self._partition_batch(tasks, copy=copy) if tasks else []
-        entries = {c: parts[i] for i, (c, _fl, _tf) in enumerate(tasks)}
-        return FaultSetPartition(self, copy, tuple(order), entries)
+        orders: list[tuple[int, ...]] = []
+        tasks: list[tuple[int, list[int], list[int]]] = []
+        owner: list[int] = []  # task -> fault list
+        for li, faults in enumerate(lists):
+            order = tuple(dict.fromkeys(faults))
+            orders.append(order)
+            per_comp: dict[int, tuple[list[int], list[int]]] = {}
+            for ei in order:
+                c = comp_e[ei]
+                bucket = per_comp.get(c)
+                if bucket is None:
+                    bucket = per_comp[c] = ([], [])
+                bucket[0].append(ei)
+                if is_tree[ei]:
+                    bucket[1].append(ei)
+            for c, (fl, tf) in per_comp.items():
+                if tf:
+                    tasks.append((c, fl, tf))
+                    owner.append(li)
+        entries: list[dict] = [{} for _ in lists]
+        if tasks:
+            parts = self._partition_batch(tasks, copy=copy)
+            for (c, _fl, _tf), li, part in zip(tasks, owner, parts):
+                entries[li][c] = part
+        return [
+            FaultSetPartition(self, copy, order, ent)
+            for order, ent in zip(orders, entries)
+        ]
 
     # ------------------------------------------------------------------
     # Path construction (Lemma 3.17)
@@ -1441,9 +1464,11 @@ class SketchConnectivityScheme:
         words of *every* live component at once
         (:meth:`ExtendedEdgeIds.try_decode_words`).  ``chunk`` bounds
         the live sketch matrix (~2 sketch rows per fault per query).  On
-        ``engine="reference"`` the seed decoder runs per query.
+        ``engine="reference"`` the seed decoder runs per query.  Vertex
+        ids outside ``0..n-1`` raise ``ValueError`` too.
         """
         pairs = list(pairs)
+        check_vertex_ids(pairs, self.graph.n)
         per = normalize_faults(pairs, faults, m=self.graph.m)
         if self._prefix is None:
             return [
@@ -1586,8 +1611,9 @@ class SketchConnectivityScheme:
         only amortizes the array work.  That purity is what makes
         fault-set partitions cacheable and shardable — both
         :meth:`query_many` (one task per hard query) and
-        :meth:`decode_partition` (one task per touched component, reused
-        for every query) are thin wrappers over this engine.
+        :meth:`decode_partitions` (one task per component each fault
+        list touches, reused for every query) are thin wrappers over
+        this engine.
         """
         st = self._packed_store()
 
@@ -1685,9 +1711,10 @@ class SketchConnectivityScheme:
         eids = ctx.eids
         edge_decoded = self._edge_decoded
         eid_cache = self._eid_cache
-        mixed_sorted, mixed_order = st.mixed_sorted, st.mixed_order
-        mix_consts = st.mix_consts
-        m_edges = mixed_sorted.size
+        # Searching all but the last fingerprint keeps every position
+        # a valid index, and finds the same leftmost candidate.
+        mixed_head, mixed_order = st.mixed_sorted[:-1], st.mixed_order
+        mix_consts, edge_words = st.mix_consts, st.eid_words
         ufs = [UnionFind(nc) for nc in ncomps]
         roots_of = [list(range(nc)) for nc in ncomps]
         phases = [0] * H
@@ -1703,7 +1730,18 @@ class SketchConnectivityScheme:
                     continue
                 phases[h] += 1
                 task_lo.append(len(ext_meta))
-                ext_meta += [(h, r) for r in roots]
+                if len(roots) == 2:
+                    # The live roots' exact cells XOR to zero: every
+                    # surviving edge sits in two components' sketches,
+                    # every cut fault is cancelled from both sides.  So
+                    # two live roots read the same cells, and a second
+                    # extraction could only find the edge the first one
+                    # merges over, or nothing: read the shorter gather.
+                    a, b = roots
+                    qrows = grows[h]
+                    ext_meta.append((h, a if len(qrows[a]) <= len(qrows[b]) else b))
+                else:
+                    ext_meta += [(h, r) for r in roots]
                 still.append(h)
             alive = still
             R = len(ext_meta)
@@ -1715,7 +1753,7 @@ class SketchConnectivityScheme:
             flat = cand.reshape(R * levels, width)
             rev = cand[:, ::-1, :]
             np.bitwise_xor.accumulate(rev, axis=1, out=rev)
-            nz = (flat != 0).any(axis=1)
+            nz = flat.any(axis=1)
             # Retire empty tails: when every live root of a task reads
             # zero cells in this unit and in every later one, no later
             # phase can merge, so the remaining units only add to
@@ -1735,51 +1773,38 @@ class SketchConnectivityScheme:
                             phases[h] += units - unit - 1
                         done_set = set(done)
                         alive = [h for h in alive if h not in done_set]
-            # Real-edge membership by fingerprint (exact-compare
-            # confirmed); a hit is a valid single-edge EID without any
-            # PRF work — successful extractions are exactly such rows.
-            hit_ei = None
-            if m_edges:
-                mixed = _mix_words(flat, mix_consts)
-                pos = np.searchsorted(mixed_sorted, mixed)
-                pos_c = np.minimum(pos, m_edges - 1)
-                cand_ei = mixed_order[pos_c]
-                hit = (
-                    nz
-                    & (mixed_sorted[pos_c] == mixed)
-                    & (flat == st.eid_words[cand_ei]).all(axis=1)
-                )
-                hit_ei = cand_ei
-            else:  # pragma: no cover - hard queries imply edges
-                hit = np.zeros(R * levels, dtype=bool)
+            # Real-edge membership by fingerprint, decided by exact row
+            # compare (a zero row never equals an edge's words): a hit
+            # is a valid single-edge EID without any PRF work —
+            # successful extractions are exactly such rows.
+            mixed = _mix_words(flat, mix_consts)
+            hit_ei = mixed_order[np.searchsorted(mixed_head, mixed)]
+            valid_flat = (flat == edge_words[hit_ei]).all(axis=1)
             # Unknown nonzero words take the PRF test of Lemma 3.10,
             # one evaluation per distinct endpoint pair.
-            need = nz & ~hit
             prf_dec: dict[int, DecodedEid] = {}
-            valid_flat = hit
-            if need.any():
-                rows_nz = np.flatnonzero(need)
+            rows_nz = np.flatnonzero(nz & ~valid_flat)
+            if rows_nz.size:
                 ok, dec = eids.try_decode_words(flat[rows_nz])
                 if dec:
-                    valid_flat = hit.copy()
                     valid_flat[rows_nz] = ok
                     for k, d in dec.items():
                         prf_dec[int(rows_nz[k])] = d
-            valid = valid_flat.reshape(R, levels)
-            has = valid.any(axis=1)
-            if not has.any():
-                continue
-            first = np.argmax(valid, axis=1).tolist()
-            for i in np.flatnonzero(has).tolist():
-                h, _r = ext_meta[i]
-                fr = i * levels + first[i]
+            # Each extraction takes its first validating level (the
+            # scan order of the scalar extract_outgoing).
+            last = -1
+            for fr in np.flatnonzero(valid_flat).tolist():
+                i = fr // levels
+                if i == last:
+                    continue
+                last = i
+                h = ext_meta[i][0]
                 d = prf_dec.get(fr)
                 if d is None:
                     ei = int(hit_ei[fr])
                     d = edge_decoded.get(ei)
                     if d is None:
-                        d = eids.try_decode(eid_cache[ei])
-                        edge_decoded[ei] = d
+                        d = edge_decoded[ei] = eids.decode_issued(eid_cache[ei])
                 forest = forests[h]
                 cu = forest.locate(d.anc_u)
                 cv = forest.locate(d.anc_v)
@@ -1847,12 +1872,17 @@ class SketchConnectivityScheme:
         if evs:
             span, levels, width = cells.shape[1:]
             evi = np.asarray(evs, dtype=np.int64)
+            owner = np.asarray(ev_tgt, dtype=np.int64)
             # (event, unit) -> flat exact cell of the event's component
-            tgt = (
-                np.asarray(ev_tgt, dtype=np.int64)[:, None] * span
-                + np.arange(span, dtype=np.int64)
-            ) * levels + ev_ml[evi, lo:hi]
-            np.bitwise_xor.at(cells.reshape(-1, width), tgt, ev_words[evi][:, None])
+            if span == 1:
+                tgt = owner * levels + ev_ml[evi, lo]
+                words = ev_words[evi]
+            else:
+                tgt = (
+                    owner[:, None] * span + np.arange(span, dtype=np.int64)
+                ) * levels + ev_ml[evi, lo:hi]
+                words = ev_words[evi][:, None]
+            np.bitwise_xor.at(cells.reshape(-1, width), tgt, words)
         return cells
 
     def _empty_tails(
@@ -1885,9 +1915,15 @@ class SketchConnectivityScheme:
                     break
                 chunk.append(h)
                 task_lo.append(len(ext))
-                for r in roots_of[h]:
-                    ext.append((h, r))
-                    n_rows += len(grows[h][r])
+                # The live roots' cells XOR to zero, so the root with the
+                # longest gather reads zero wherever all the others do.
+                qrows = grows[h]
+                roots = roots_of[h]
+                skip = max(roots, key=lambda r: len(qrows[r]))
+                for r in roots:
+                    if r != skip:
+                        ext.append((h, r))
+                        n_rows += len(qrows[r])
             start += len(chunk)
             cells = self._exact_cells(
                 ext, grows, gevs, prefix, ev_ml, ev_words, lo, dims.units
@@ -1938,8 +1974,10 @@ class SketchConnectivityScheme:
 
         Delegates to the batched engine with batch size 1 on the
         vectorized scheme; the reference scheme runs the seed decoder.
-        Fault ids outside ``0..m-1`` raise ``ValueError``.
+        Vertex ids outside ``0..n-1`` and fault ids outside ``0..m-1``
+        raise ``ValueError``.
         """
+        check_vertex_ids([(s, t)], self.graph.n)
         faults = [int(ei) for ei in faults]
         check_fault_ids(faults, self.graph.m)
         if self._prefix is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from repro.core._batch import check_vertex_ids
 from repro.core.distance_labels import DistanceLabelScheme
 from repro.core.sketch_scheme import SkEdgeLabel
 from repro.graph.graph import Graph
@@ -203,7 +204,9 @@ class FaultTolerantRouter:
     # ------------------------------------------------------------------
     def route(self, s: int, t: int, faults: Iterable[int]) -> RouteResult:
         """Deliver a message from ``s`` to ``t`` under the (hidden) fault
-        set, given only ``L_route(t)`` and the routing tables."""
+        set, given only ``L_route(t)`` and the routing tables.  Vertex
+        ids outside ``0..n-1`` raise ``ValueError`` on both engines."""
+        check_vertex_ids([(s, t)], self.graph.n)
         if self.engine == "packed":
             return self.packed_engine().route_many([(s, t)], list(faults))[0]
         return self._route_reference(s, t, faults)
@@ -222,7 +225,11 @@ class FaultTolerantRouter:
         ``"packed"`` advances all messages together through the array
         stepper; ``"reference"`` loops the seed engine (the benches and
         the trace-equivalence tests compare the two on one router).
+        Vertex ids outside ``0..n-1`` raise ``ValueError`` on both
+        engines, before any message is routed.
         """
+        requests = list(requests)
+        check_vertex_ids(requests, self.graph.n)
         engine = self.engine if engine is None else engine
         if engine == "packed":
             return self.packed_engine().route_many(requests, faults)

@@ -3,10 +3,15 @@
 The seed :class:`~repro.routing.engine.SegmentRouter` walks one
 message at a time, re-reading per-vertex table dicts and bit-unpacking
 tree labels on every hop.  This engine routes a batch in **rounds**
-over the packed stores of :mod:`repro.routing.packed_tables`: a round
-follows every in-flight message along its succinct path to its next
-event — delivery, or the first faulty edge — and then runs the retry
-decode of every message that bounced.
+over the packed stores of :mod:`repro.routing.packed_tables`.  A round
+first settles the decodes of every pending message in batches: the
+messages are grouped by (instance, sketch copy) and each group's
+partitions come from one cache lookup whose misses are decoded in one
+batched Boruvka call; a message told "not connected here" moves to its
+next scale and goes round again.  The round then follows every message
+that got a path along it to its next event — delivery, or the first
+faulty edge — and the messages that bounced are the next round's
+pending set.
 
 * **0-segments** (recovery edges) are one read of the global CSR port
   arrays (slot ``indptr[cur] + port_x``) and a fault-set check;
@@ -24,7 +29,8 @@ decode of every message that bounced.
   (instance, sketch copy): the partition for a discovered fault prefix
   is decoded once and reused by every message (and every batch) that
   reaches the same state, instead of one full Boruvka decode per
-  retry.  Caches are keyed by *presentation order*
+  retry, and the misses of one round's group share one decode call.
+  Caches are keyed by *presentation order*
   (``canonicalize=False``) because succinct-path output depends on
   fault order: the cached answer is bit-identical to handing the seed
   decoder the labels in discovery order, which is what the reference
@@ -51,7 +57,7 @@ _DECODE, _FOLLOW, _DONE = 0, 1, 2
 
 
 class _CopyPartitions:
-    """``decode_partition`` facade pinning one sketch copy of one
+    """``decode_partitions`` facade pinning one sketch copy of one
     instance scheme (the serving cache protocol has no copy slot)."""
 
     __slots__ = ("scheme", "copy")
@@ -60,8 +66,8 @@ class _CopyPartitions:
         self.scheme = scheme
         self.copy = copy
 
-    def decode_partition(self, faults):
-        return self.scheme.decode_partition(faults, copy=self.copy)
+    def decode_partitions(self, fault_lists):
+        return self.scheme.decode_partitions(fault_lists, copy=self.copy)
 
 
 class _Message:
@@ -71,7 +77,7 @@ class _Message:
         "s", "t", "faults", "status", "telemetry", "trace", "result",
         # phase machinery (Section 5.2 trial-and-error)
         "scale", "iteration", "known", "known_eids", "known_local",
-        "known_ok", "key", "pack", "ls", "lt",
+        "known_ok", "known_bits", "key", "pack", "ls", "lt",
         # the in-flight path attempt
         "path", "seg_idx", "cur", "cur_local",
         "fwd_hops", "fwd_weight", "fwd_trace",
@@ -93,6 +99,8 @@ class _Message:
         self.known_eids: set[int] = set()
         self.known_local: list[int] = []
         self.known_ok = True
+        #: sum of the known labels' bit lengths (header telemetry)
+        self.known_bits = 0
         self.key = None
         self.pack: Optional[PackedInstanceTables] = None
         self.ls = -1
@@ -138,10 +146,11 @@ class PackedRouteEngine:
     # ------------------------------------------------------------------
     # Shared partition caches (the retry-decode path)
     # ------------------------------------------------------------------
-    def _cache(self, key, copy: int) -> PartitionCache:
-        ck = (key, copy)
+    def _cache(self, ck: tuple) -> PartitionCache:
+        """The retry cache of ``ck = (instance key, copy)``."""
         cache = self._caches.get(ck)
         if cache is None:
+            key, copy = ck
             cache = PartitionCache(
                 _CopyPartitions(self.plane.instances[key].scheme, copy),
                 capacity=self.cache_capacity,
@@ -196,111 +205,142 @@ class PackedRouteEngine:
                     delivered=True, s=s, t=t, telemetry=m.telemetry,
                     trace=m.trace,
                 )
-            else:
-                self._advance(m)
             msgs.append(m)
-        # Rounds: follow every in-flight message to its next event,
-        # then run the retry decodes of the ones that bounced.
-        follow = [m for m in msgs if m.status == _FOLLOW]
-        while follow:
-            bounced = [m for m in follow if self._follow(m)]
-            for m in bounced:
-                self._advance(m)
-            follow = [m for m in bounced if m.status == _FOLLOW]
+        # Rounds: settle the decodes of every pending message, follow
+        # every message that got a path to its next event, and take the
+        # ones that bounced as the next round's pending set.
+        pending = [m for m in msgs if m.status == _DECODE]
+        while pending:
+            self._settle(pending)
+            pending = [
+                m for m in pending if m.status == _FOLLOW and self._follow(m)
+            ]
         return [m.result for m in msgs]
 
     # ------------------------------------------------------------------
     # Phase machinery: scales, iterations, decodes
     # ------------------------------------------------------------------
-    def _advance(self, m: _Message) -> None:
-        """Run the Section 5.2 decode state machine until the message
-        has a path to follow (→ FOLLOW) or is undeliverable (→ DONE)."""
+    def _settle(self, pending: list[_Message]) -> None:
+        """Run the Section 5.2 decode state machine of every pending
+        message until each has a path to follow (→ FOLLOW) or is
+        undeliverable (→ DONE).
+
+        Each pass picks every message's next decode, groups the
+        messages by (instance, sketch copy) and resolves each group
+        through one :meth:`PartitionCache.partitions` call — one
+        batched decode of the group's missed fault lists.  Messages
+        told "not connected here" move to their next scale and go round
+        again.  A partition is a pure function of its instance, copy
+        and discovery-order fault list, so batching changes no answer.
+        """
+        while pending:
+            groups: dict[tuple, list[_Message]] = {}
+            answered: list[tuple[_Message, object]] = []
+            for m in pending:
+                copy = self._next_decode(m)
+                if copy is None:
+                    continue
+                if m.known_ok:
+                    groups.setdefault((m.key, copy), []).append(m)
+                    continue
+                # Labels that do not resolve against the store (the
+                # defensive bare-EID fallback) take the label-level
+                # decoder, like the reference engine.
+                inst = m.pack.scheme
+                answered.append((m, inst.decode(
+                    inst.vertex_label(m.ls),
+                    inst.vertex_label(m.lt),
+                    m.known,
+                    copy=copy,
+                    want_path=True,
+                )))
+            for ck, group in groups.items():
+                parts = self._cache(ck).partitions([m.known_local for m in group])
+                answered += [
+                    (m, part.answer(m.ls, m.lt, want_path=True))
+                    for m, part in zip(group, parts)
+                ]
+            for m, result in answered:
+                self._take(m, result)
+            pending = [m for m, _ in answered if m.status == _DECODE]
+
+    def _next_decode(self, m: _Message) -> Optional[int]:
+        """Pick ``m``'s next retry decode: the scale search, the
+        iteration budget, the sketch copy and the telemetry counts.
+
+        Returns the copy to decode with, or None when no scale is left
+        (the message is then DONE, undelivered).  The decode itself is
+        keyed by the instance, the copy and the *discovery order* of
+        the learned faults — exactly the label list the reference hands
+        ``scheme.decode`` — so the cached answer (path included) is
+        bit-identical.
+        """
+        if m.key is not None and m.iteration > self.f:
+            m.key = None  # phase budget exhausted; next scale
+        if m.key is None and not self._next_scale(m):
+            return None
+        tel = m.telemetry
+        tel.iterations += 1
+        tel.decode_calls += 1
+        return 0 if self.reuse_copy else min(m.iteration, self.scheme.copies - 1)
+
+    def _next_scale(self, m: _Message) -> bool:
+        """Start the phase of the next scale whose home cluster holds
+        both endpoints (the reference scans ``label_t.per_scale`` and the
+        source's table entries the same way); False, with the message
+        DONE, when no scale is left."""
         scheme = self.scheme
         vmem = scheme._vertex_membership
         i_star_t = scheme._i_star[m.t]
-        copies = scheme.copies
+        vt, vs = vmem[m.t], vmem[m.s]
+        for i in range(m.scale + 1, scheme.K + 1):
+            j = i_star_t.get(i)
+            if j is None:
+                continue
+            key = (i, j)
+            lt = vt.get(key)
+            if lt is None:
+                continue
+            ls = vs.get(key)
+            if ls is None:
+                continue
+            m.scale = i
+            m.key = key
+            m.pack = self.plane.instances[key]
+            m.ls = ls
+            m.lt = lt
+            m.iteration = 0
+            m.known = []
+            m.known_eids = set()
+            m.known_local = []
+            m.known_ok = True
+            m.known_bits = 0
+            m.telemetry.phases += 1
+            return True
         tel = m.telemetry
-        while True:
-            if m.key is None:
-                # Find the next scale whose home cluster holds both
-                # endpoints (the reference scans label_t.per_scale and
-                # the source's table entries the same way).
-                i = m.scale + 1
-                key = None
-                while i <= scheme.K:
-                    j = i_star_t.get(i)
-                    if j is not None:
-                        cand = (i, j)
-                        if (
-                            vmem[m.t].get(cand) is not None
-                            and vmem[m.s].get(cand) is not None
-                        ):
-                            key = cand
-                            break
-                    i += 1
-                if key is None:
-                    m.status = _DONE
-                    m.result = RouteResult(
-                        delivered=False, s=m.s, t=m.t, telemetry=tel,
-                        length=tel.weighted, trace=m.trace,
-                    )
-                    return
-                m.scale = i
-                m.key = key
-                m.pack = self.plane.instances[key]
-                m.ls = vmem[m.s][key]
-                m.lt = vmem[m.t][key]
-                m.iteration = 0
-                m.known = []
-                m.known_eids = set()
-                m.known_local = []
-                m.known_ok = True
-                tel.phases += 1
-            if m.iteration > self.f:
-                m.key = None  # phase budget exhausted; next scale
-                continue
-            tel.iterations += 1
-            tel.decode_calls += 1
-            copy = 0 if self.reuse_copy else min(m.iteration, copies - 1)
-            result = self._decode(m, copy)
-            if not result.connected:
-                m.key = None  # s, t disconnected here (w.h.p.); next phase
-                continue
-            path = result.path
-            header_bits = path.bit_length(self.graph.n) + sum(
-                lab.bit_length() for lab in m.known
-            )
-            tel.note_header(header_bits)
-            m.path = path
-            m.seg_idx = 0
-            m.cur = path.s
-            m.fwd_hops = 0
-            m.fwd_weight = 0.0
-            m.fwd_trace = []
-            m.status = _FOLLOW
+        m.status = _DONE
+        m.result = RouteResult(
+            delivered=False, s=m.s, t=m.t, telemetry=tel,
+            length=tel.weighted, trace=m.trace,
+        )
+        return False
+
+    def _take(self, m: _Message, result) -> None:
+        """Take a decode's answer: a path to follow (→ FOLLOW), or s, t
+        disconnected here (w.h.p.), which moves the message on to its
+        next scale (it stays pending)."""
+        if not result.connected:
+            m.key = None
             return
-
-    def _decode(self, m: _Message, copy: int):
-        """One retry decode, through the shared partition cache.
-
-        Keyed by the instance, the sketch copy and the *discovery
-        order* of the learned faults — exactly the label list the
-        reference hands ``scheme.decode`` — so the cached answer
-        (path included) is bit-identical.  Labels that do not resolve
-        against the store (the defensive bare-EID fallback) route
-        through the label-level decoder like the reference does.
-        """
-        inst_scheme = m.pack.scheme
-        if not m.known_ok:
-            return inst_scheme.decode(
-                inst_scheme.vertex_label(m.ls),
-                inst_scheme.vertex_label(m.lt),
-                m.known,
-                copy=copy,
-                want_path=True,
-            )
-        part = self._cache(m.key, copy).partition(m.known_local)
-        return part.answer(m.ls, m.lt, want_path=True)
+        path = result.path
+        m.telemetry.note_header(path.bit_length(self.graph.n) + m.known_bits)
+        m.path = path
+        m.seg_idx = 0
+        m.cur = path.s
+        m.fwd_hops = 0
+        m.fwd_weight = 0.0
+        m.fwd_trace = []
+        m.status = _FOLLOW
 
     # ------------------------------------------------------------------
     # Following a path
@@ -445,6 +485,7 @@ class PackedRouteEngine:
         else:
             m.known.append(label)
             m.known_eids.add(label.eid)
+            m.known_bits += label.bit_length()
             if local_ei is None:
                 m.known_ok = False
             else:

@@ -457,6 +457,11 @@ class LabelServer:
             self._snapshot_path = path
             self.obs.counter("server.reloads").inc()
             await old.drain()
+            # A request is released when its future resolves, but the
+            # blocking thread drops its finished work item, whose closure
+            # still holds the old generation's labels, only after that.
+            # A no-op queued behind it runs once the item is gone.
+            await loop.run_in_executor(self._blocking, lambda: None)
             old.close()
             return old.version, new.version, new.kind
 

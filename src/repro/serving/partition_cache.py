@@ -14,11 +14,20 @@ out of its ``query_many``), and this module memoizes those partitions:
   miss / eviction counters, because real fault workloads are bursty
   (the same few fault sets are queried thousands of times while they
   are live);
+* misses are resolved in **one decode call** per lookup call:
+  :meth:`PartitionCache.partitions` looks up a whole list of fault
+  sets and hands every missed one to the scheme's
+  ``decode_partitions(fault_lists)`` at once (the sketch scheme runs
+  them through one batched Boruvka simulation; schemes with only
+  ``decode_partition`` are looped), and ``cache.decode_seconds``
+  records one sample per such call;
 * :meth:`PartitionCache.query_many` keeps the scheme's batched API:
-  queries are grouped by canonical fault set, each group is answered
-  off one partition, and answers come back in request order with the
-  scheme's native answer type (``SkDecodeResult`` for the sketch
-  scheme, ``bool`` for forest/cycle-space, ``float`` for distance).
+  queries are grouped by canonical fault set, all groups are resolved
+  through one :meth:`~PartitionCache.partitions` call, each group is
+  answered off its partition, and answers come back in request order
+  with the scheme's native answer type (``SkDecodeResult`` for the
+  sketch scheme, ``bool`` for forest/cycle-space, ``float`` for
+  distance).
 
 Answers are bit-identical to the underlying scheme's ``query_many``
 with canonically ordered faults (asserted by ``tests/test_serving.py``
@@ -118,16 +127,29 @@ class CacheStats:
         return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
-class PartitionCache:
-    """LRU-memoized ``decode_partition`` under any labeling scheme.
+class _Pending:
+    """LRU placeholder of a key whose decode is still due in the
+    current :meth:`PartitionCache.partitions` call."""
 
-    ``scheme`` is anything exposing ``decode_partition(faults)`` whose
-    result answers queries via ``answer_many(pairs, **kw)`` — all four
-    scheme classes and both ``core.api`` facades qualify.  The cache
-    makes a stream of same-fault queries cost one decode total instead
-    of one decode per query; capacity bounds the number of live fault
-    sets kept (each partition is small: a component forest, a
-    union-find and the recorded merges — not a sketch tensor).
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+
+class PartitionCache:
+    """LRU-memoized fault-set partitions under any labeling scheme.
+
+    ``scheme`` exposes ``decode_partitions(fault_lists)`` — one
+    partition per fault list, from one decode call (the sketch scheme's
+    batched Boruvka engine) — or only ``decode_partition(faults)``,
+    which the cache loops; each partition answers queries via
+    ``answer_many(pairs, **kw)``.  All four scheme classes and both
+    ``core.api`` facades qualify.  The cache makes a stream of
+    same-fault queries cost one decode total instead of one decode per
+    query; capacity bounds the number of live fault sets kept (each
+    partition is small: a component forest, a union-find and the
+    recorded merges — not a sketch tensor).
     """
 
     def __init__(
@@ -145,21 +167,32 @@ class PartitionCache:
         across permutations and is right for everything else.
 
         ``obs`` is the :class:`~repro.obs.MetricsRegistry` the cache
-        counts into, per *fault-set group* (never per query):
+        counts into, per *fault-set lookup* (never per query):
         ``cache.hits``, ``cache.misses`` (at lookup, before the decode),
-        ``cache.evictions`` and a ``cache.decode_seconds`` histogram —
-        the shard workers ship it to the serving parent.  ``None`` gives
-        the cache a private registry; :attr:`stats` reads either."""
-        if not hasattr(scheme, "decode_partition"):
-            raise TypeError(
-                f"{type(scheme).__name__} does not expose decode_partition"
-            )
+        ``cache.evictions``, and a ``cache.decode_seconds`` histogram
+        with one sample per resolving call — the wall time of the one
+        decode call that resolves all of a :meth:`partitions` call's
+        misses, however many there are.  The shard workers ship it to
+        the serving parent.  ``None`` gives the cache a private
+        registry; :attr:`stats` reads either."""
+        decode = getattr(scheme, "decode_partitions", None)
+        if decode is None:
+            one = getattr(scheme, "decode_partition", None)
+            if one is None:
+                raise TypeError(
+                    f"{type(scheme).__name__} does not expose decode_partition"
+                )
+
+            def decode(fault_lists):
+                return [one(faults) for faults in fault_lists]
+
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.scheme = scheme
         self.capacity = capacity
         self.canonicalize = canonicalize
         self.obs = MetricsRegistry() if obs is None else obs
+        self._decode = decode
         self._key = canonical_fault_key if canonicalize else presentation_fault_key
         self._lru: "OrderedDict[FaultKey, object]" = OrderedDict()
         self._hits = self.obs.counter("cache.hits")
@@ -178,26 +211,58 @@ class PartitionCache:
         return self._key(faults) in self._lru
 
     def partition(self, faults: Iterable[int]):
-        """The (memoized) partition for ``faults``.
+        """The (memoized) partition for ``faults``: the batch of one of
+        :meth:`partitions`."""
+        return self.partitions([faults])[0]
 
-        On a miss the scheme decodes the canonical fault list once; on a
-        hit the stored partition is returned and refreshed in LRU order.
+    def partitions(self, fault_lists: Iterable[Iterable[int]]) -> list:
+        """The (memoized) partition of every fault list, in order.
+
+        Keys are looked up in order, and hits, misses, evictions and
+        the LRU order come out exactly as the same sequence of
+        :meth:`partition` calls would leave them: a key repeated within
+        the call is a hit, unless the call's own misses evicted it
+        first.  Every distinct missed key is then decoded in one
+        ``decode_partitions`` call.  If that call raises, no missed key
+        of this call stays cached.
         """
-        key = self._key(faults)
-        part = self._lru.get(key)
-        if part is not None:
-            self._lru.move_to_end(key)
-            self._hits.inc()
-            return part
-        self._misses.inc()
+        lru = self._lru
+        capacity = self.capacity
+        out: list = []
+        todo: dict[FaultKey, int] = {}  # missed key -> slot in the decode
+        hits = misses = evictions = 0
+        for faults in fault_lists:
+            key = self._key(faults)
+            part = lru.get(key)
+            if part is not None:
+                lru.move_to_end(key)
+                hits += 1
+                out.append(part)
+                continue
+            misses += 1
+            lru[key] = pending = _Pending(todo.setdefault(key, len(todo)))
+            out.append(pending)
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+                evictions += 1
+        self._hits.inc(hits)
+        if not todo:
+            return out
+        self._misses.inc(misses)
+        self._evictions.inc(evictions)
         t0 = time.perf_counter()
-        part = self.scheme.decode_partition(list(key))
+        try:
+            parts = self._decode([list(key) for key in todo])
+        except BaseException:
+            for key in todo:
+                if type(lru.get(key)) is _Pending:
+                    del lru[key]
+            raise
         self.obs.histogram("cache.decode_seconds").observe(time.perf_counter() - t0)
-        self._lru[key] = part
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-            self._evictions.inc()
-        return part
+        for key, slot in todo.items():
+            if type(lru.get(key)) is _Pending:
+                lru[key] = parts[slot]
+        return [parts[p.slot] if type(p) is _Pending else p for p in out]
 
     def query(self, s: int, t: int, faults: Iterable[int] = (), **kw):
         """One query through the cache (native answer type)."""
@@ -219,8 +284,7 @@ class PartitionCache:
         per = normalize_faults(pairs, faults)
         groups = group_by_canonical_key(per, key_of=self._key)
         results: list = [None] * len(pairs)
-        for key, qis in groups.items():
-            part = self.partition(key)
+        for (key, qis), part in zip(groups.items(), self.partitions(groups)):
             answers = part.answer_many([pairs[qi] for qi in qis], **kw)
             for qi, ans in zip(qis, answers):
                 results[qi] = ans

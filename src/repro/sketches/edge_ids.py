@@ -41,7 +41,7 @@ class UidScheme:
     def __init__(self, seed: int, uid_bits: int = 64):
         self.seed = seed
         self.uid_bits = uid_bits
-        self._frame_cache: dict[int, bytes] = {}
+        self._frame_cache: dict = {}
 
     def uid(self, u: int, v: int) -> int:
         """UID of the edge {u, v} (order-insensitive)."""
@@ -108,40 +108,22 @@ class EidCodec:
         """Number of 64-bit words of the big-endian word layout."""
         return max(1, (self.total_bits + 63) // 64)
 
-    def unpack_words_batch(
-        self, words: "np.ndarray", fields: Optional[Sequence[str]] = None
-    ) -> dict[str, "np.ndarray"]:
-        """Field columns of a ``(N, word_count)`` uint64 word matrix.
-
-        Inverse of :meth:`pack_words_batch` (same <= 64-bit-per-field
-        restriction): ``out[name][i]`` equals ``unpack(eid_i)[name]``
-        for every row.  This is the decoder-side half of the packed
-        label store — candidate words coming out of sketch cells are
-        field-sliced in bulk instead of through per-int ``unpack``.
-        ``fields`` restricts the slicing to the named columns (the
-        validator only needs ``uid``/``id_u``/``id_v``).
-        """
+    def column(self, words: "np.ndarray", pos: int, width: int) -> "np.ndarray":
+        """Bits ``pos .. pos + width - 1`` of every EID row of a
+        ``(N, word_count)`` uint64 word matrix, as a uint64 column (the
+        big-endian word layout of :meth:`pack_words_batch`)."""
         import numpy as np
 
-        n_words = words.shape[1]
-        out: dict[str, np.ndarray] = {}
-        for name, (pos, width) in self._offsets.items():
-            if fields is not None and name not in fields:
-                continue
-            if width > 64:
-                raise ValueError(f"field {name} wider than a word")
-            if width == 0:
-                out[name] = np.zeros(words.shape[0], dtype=np.uint64)
-                continue
-            lo = pos % 64
-            wi = n_words - 1 - pos // 64
-            vals = words[:, wi] >> np.uint64(lo) if lo else words[:, wi].copy()
-            if lo and lo + width > 64:
-                vals |= words[:, wi - 1] << np.uint64(64 - lo)
-            if width < 64:
-                vals &= np.uint64((1 << width) - 1)
-            out[name] = vals
-        return out
+        if width > 64:
+            raise ValueError(f"a {width}-bit column is wider than a word")
+        wi = words.shape[1] - 1 - pos // 64
+        lo = pos % 64
+        vals = words[:, wi] >> np.uint64(lo)
+        if lo + width > 64:
+            vals |= words[:, wi - 1] << np.uint64(64 - lo)
+        if width < 64:
+            vals &= np.uint64((1 << width) - 1)
+        return vals
 
     def pack_words_batch(self, columns: dict[str, "np.ndarray"]) -> "np.ndarray":
         """Pack a batch of EIDs straight into big-endian uint64 words.
@@ -427,15 +409,17 @@ class ExtendedEdgeIds:
 
         Returns ``(valid, decoded)``: ``valid[i]`` iff row ``i`` is a
         single-edge EID (same test as :meth:`try_decode`), ``decoded``
-        holding a :class:`DecodedEid` for every valid row.  Only the
-        ``uid``, ``id_u`` and ``id_v`` columns are sliced as array ops
-        (a ``uid`` wider than a word raises ``ValueError``), so routing
-        layouts whose tree-label fields exceed 64 bits validate in batch
-        too — the wide fields are read only for the rows that pass.
-        After the id-range prefilter, rows are grouped by unordered
-        endpoint pair and each distinct pair pays one (batched) PRF
-        evaluation, however many candidate rows carry it; only valid
-        rows materialize Python objects — that ratio is what makes the
+        holding a :class:`DecodedEid` for every valid row.  Only two
+        columns are sliced, as array ops: ``uid``, and ``id_u``/``id_v``
+        as one adjacent pair (a field wider than a word raises
+        ``ValueError``), so routing layouts whose tree-label fields
+        exceed 64 bits validate in batch too — the wide fields are read
+        only for the rows that pass.  One pass over the id pairs applies
+        the id-range test and groups the plausible rows by unordered
+        endpoint pair, so each distinct pair pays one (batched) PRF
+        evaluation however many candidate rows carry it, and every row
+        :meth:`try_decode` would test is tested.  Only valid rows
+        materialize Python objects — that ratio is what makes the
         batched Boruvka decoder fast.
         """
         import numpy as np
@@ -447,30 +431,34 @@ class ExtendedEdgeIds:
         decoded: dict[int, DecodedEid] = {}
         if n_rows == 0:
             return valid, decoded
-        fields = self.codec.unpack_words_batch(words, fields=("uid", "id_u", "id_v"))
-        id_u = fields["id_u"].astype(np.int64)
-        id_v = fields["id_v"].astype(np.int64)
-        plausible = (
-            (words != 0).any(axis=1)
-            & (id_u < self.id_space)
-            & (id_v < self.id_space)
-            & (id_u != id_v)
-        )
-        rows = np.flatnonzero(plausible)
-        if rows.size == 0:
+        codec = self.codec
+        pos, id_bits = codec._offsets["id_v"]
+        # id_u sits right above id_v: one column holds both ids
+        ids = codec.column(words, pos, 2 * id_bits).tolist()
+        uids = codec.column(words, *codec._offsets["uid"]).tolist()
+        id_mask = (1 << id_bits) - 1
+        id_space = self.id_space
+        # unordered endpoint pair (u < v), keyed u * id_space + v -> slot
+        slot: dict[int, int] = {}
+        rows: list[int] = []
+        slots: list[int] = []
+        for row, x in enumerate(ids):
+            u = x >> id_bits
+            v = x & id_mask
+            # a zero row has u == v == 0
+            if u < id_space and v < id_space and u != v:
+                rows.append(row)
+                key = u * id_space + v if u < v else v * id_space + u
+                slots.append(slot.setdefault(key, len(slot)))
+        if not rows:
             return valid, decoded
-        slot: dict[tuple[int, int], int] = {}
-        slot_of = [
-            slot.setdefault((u, v) if u < v else (v, u), len(slot))
-            for u, v in zip(id_u[rows].tolist(), id_v[rows].tolist())
-        ]
-        expected = np.array(self.uid_scheme.uid_batch(slot), dtype=np.uint64)
-        rows = rows[expected[slot_of] == fields["uid"][rows]]
-        valid[rows] = True
-        unpack = self.codec.unpack
-        for row in rows.tolist():
-            eid = words_to_eid(words[row])
-            decoded[row] = self._decoded(eid, unpack(eid))
+        expected = self.uid_scheme.uid_batch(divmod(key, id_space) for key in slot)
+        unpack = codec.unpack
+        for row, k in zip(rows, slots):
+            if expected[k] == uids[row]:
+                valid[row] = True
+                eid = words_to_eid(words[row])
+                decoded[row] = self._decoded(eid, unpack(eid))
         return valid, decoded
 
     def try_decode(self, candidate: int) -> Optional[DecodedEid]:
@@ -489,6 +477,16 @@ class ExtendedEdgeIds:
         if not self.uid_scheme.matches(fields["uid"], u, v):
             return None
         return self._decoded(candidate, fields)
+
+    def decode_issued(self, eid: int) -> DecodedEid:
+        """The fields of an EID this instance issued (a stored edge's).
+
+        Its uid is the PRF of its own endpoint ids by construction, so
+        :meth:`try_decode` would accept it: the batched decoder uses
+        this for rows it has already matched word for word against a
+        stored edge.
+        """
+        return self._decoded(eid, self.codec.unpack(eid))
 
     @staticmethod
     def _decoded(candidate: int, fields: dict[str, int]) -> DecodedEid:

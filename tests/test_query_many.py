@@ -304,3 +304,92 @@ def test_out_of_range_fault_ids_rejected(name, make, bad):
             call()
     # the real cut still answers
     assert scheme.query_many([(0, 7)], [g.m - 1])[0] in (False, math.inf)
+
+
+#: every scheme's query entry points, on ``grid_graph(4, 4)`` (n = 16)
+VERTEX_SCHEMES = [
+    ("sketch", lambda g: SketchConnectivityScheme(g, seed=3)),
+    ("sketch_reference", lambda g: SketchConnectivityScheme(g, seed=3, engine="reference")),
+    *OUT_OF_RANGE_SCHEMES[1:],
+    ("facade", lambda g: FaultTolerantConnectivity(g, f=2, scheme="cycle_space", seed=3)),
+]
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+@pytest.mark.parametrize("name,make", VERTEX_SCHEMES, ids=[s[0] for s in VERTEX_SCHEMES])
+def test_out_of_range_vertex_ids_rejected(name, make, bad):
+    """A vertex id outside 0..n-1 is an error: per-vertex stores would
+    answer -1 as vertex n - 1 and raise a bare IndexError for n."""
+    g = generators.grid_graph(4, 4)
+    scheme = make(g)
+    v = g.n if bad == "n" else bad
+    calls = [
+        lambda: scheme.query_many([(v, 5)], []),
+        lambda: scheme.query_many([(0, 5), (5, v)], [[1], [2]]),
+    ]
+    if hasattr(scheme, "query"):
+        calls.append(lambda: scheme.query(v, 5, []))
+    if name == "sketch":
+        part = scheme.decode_partition([1, 2])
+        calls += [lambda: part.answer_many([(v, 5)]), lambda: part.answer(5, v)]
+    for call in calls:
+        with pytest.raises(ValueError, match="vertex id .* out of range"):
+            call()
+    # the in-range corner pair still answers: connected, no faults
+    ans = scheme.query_many([(0, 15)], [])[0]
+    assert ans not in (False, math.inf) and getattr(ans, "connected", True)
+
+
+def test_out_of_range_vertex_ids_rejected_by_forest_scheme():
+    g = generators.random_tree(12, seed=4)
+    scheme = ForestConnectivityScheme(g)
+    for v in (-1, g.n):
+        for call in (
+            lambda: scheme.query_many([(v, 3)], []),
+            lambda: scheme.query(3, v, []),
+        ):
+            with pytest.raises(ValueError, match="vertex id .* out of range"):
+                call()
+
+
+#: decode_partition needs the vectorized engine
+PARTITION_SCHEMES = [s for s in VERTEX_SCHEMES if s[0] != "sketch_reference"]
+
+
+@pytest.mark.parametrize(
+    "name,make", PARTITION_SCHEMES, ids=[s[0] for s in PARTITION_SCHEMES]
+)
+def test_out_of_range_vertex_ids_rejected_by_partitions(name, make):
+    """The fault-set partitions (what the serving cache answers from)
+    refuse out-of-range vertex ids as their schemes do."""
+    from repro.serving.partition_cache import PartitionCache
+
+    g = generators.grid_graph(4, 4)
+    scheme = make(g)
+    part = scheme.decode_partition([1, 2])
+    cache = PartitionCache(scheme)
+    for v in (-1, g.n):
+        for call in (
+            lambda: part.answer_many([(v, 5)]),
+            lambda: part.answer_many([(5, v)]),
+            lambda: cache.query(v, 5, [1, 2]),
+            lambda: cache.query_many([(0, 5), (5, v)], [1, 2]),
+        ):
+            with pytest.raises(ValueError, match="vertex id .* out of range"):
+                call()
+
+
+def test_out_of_range_vertex_ids_rejected_by_forest_partition():
+    from repro.serving.partition_cache import PartitionCache
+
+    g = generators.random_tree(12, seed=4)
+    scheme = ForestConnectivityScheme(g)
+    part = scheme.decode_partition([1])
+    for v in (-1, g.n):
+        for call in (
+            lambda: part.connected(v, 3),
+            lambda: part.answer_many([(3, v)]),
+            lambda: PartitionCache(scheme).query(v, 3, [1]),
+        ):
+            with pytest.raises(ValueError, match="vertex id .* out of range"):
+                call()

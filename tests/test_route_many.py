@@ -243,3 +243,21 @@ def test_on_route_faults_bit_identical(name, make, mode):
     reference = router.route_many(pairs, per, engine="reference")
     _assert_identical(packed, reference)
     assert all(r.telemetry.reversals >= 1 for r in reference)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("engine", ["packed", "reference"])
+def test_out_of_range_vertex_ids_rejected(engine, bad):
+    """Both engines refuse a vertex id outside 0..n-1 with the same
+    ValueError, before routing anything (the packed engine used to
+    answer undelivered and the reference engine to route -1 as 15)."""
+    graph = generators.grid_graph(4, 4)
+    router = FaultTolerantRouter(graph, f=2, k=2, seed=22, engine=engine)
+    for call in (
+        lambda: router.route_many([(0, 5), (bad, 5)], []),
+        lambda: router.route_many([(5, bad)], [], engine="reference"),
+        lambda: router.route(bad, 5, []),
+    ):
+        with pytest.raises(ValueError, match="vertex id .* out of range"):
+            call()
+    assert router.route(15, 5, []).delivered
