@@ -1,8 +1,9 @@
 """Network serving-tier baseline: ``BENCH_server.json``.
 
 The end of the pipeline: queries through a real TCP socket into a
-:class:`~repro.server.server.LabelServer` whose spawn-mode shard
-workers all mmap one snapshot file.  For every workload it measures:
+:class:`~repro.server.server.LabelServer` whose shard workers, forked
+from its preloaded worker factory, all mmap one snapshot file.  For
+every workload it measures:
 
 * ``inproc_qps`` — the in-process warm partition cache on the same
   stream (the machine-speed yardstick every ratio is normalized by);
@@ -58,7 +59,7 @@ from repro.traffic import fault_set_pool, run_load, uniform_pairs
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
 #: (name, family, n, shards, duration_s, smoke).  The headline workload
-#: — >= 4 spawn workers on one mmap'd snapshot — runs first.
+#: — >= 4 shard workers on one mmap'd snapshot — runs first.
 WORKLOADS = [
     ("random-512-x4", "random", 512, 4, 3.0, False),
     ("random-128-x2", "random", 128, 2, 1.2, True),
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
         for name, r in payload["workloads"].items()
     ]
     print_table(
-        "Server throughput (socket, spawn shard workers on one snapshot)",
+        "Server throughput (socket, forkserver shard workers on one snapshot)",
         ["workload", "n", "shards", "q/s", "p50 ms", "p99 ms",
          "vs in-proc", "reload ms", "reload err"],
         rows,

@@ -25,39 +25,45 @@ See README.md for the full tour and docs/ARCHITECTURE.md for the
 end-to-end data flow.
 """
 
-from repro.graph import generators
-from repro.graph.graph import Edge, Graph, InducedSubgraph
-from repro.core.api import (
-    FaultTolerantConnectivity,
-    FaultTolerantDistance,
-    FaultTolerantRouting,
-)
-from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
-from repro.core.sketch_scheme import SketchConnectivityScheme
-from repro.core.forest_scheme import ForestConnectivityScheme
-from repro.core.distance_labels import DistanceLabelScheme
-from repro.oracles import ConnectivityOracle, DistanceOracle
-from repro.scenarios import FaultScenario
-from repro.serving import PartitionCache, ShardedQueryService
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "InducedSubgraph",
-    "generators",
-    "FaultTolerantConnectivity",
-    "FaultTolerantDistance",
-    "FaultTolerantRouting",
-    "CycleSpaceConnectivityScheme",
-    "SketchConnectivityScheme",
-    "ForestConnectivityScheme",
-    "DistanceLabelScheme",
-    "ConnectivityOracle",
-    "DistanceOracle",
-    "FaultScenario",
-    "PartitionCache",
-    "ShardedQueryService",
-    "__version__",
-]
+#: exported name -> the module defining it.  Names are imported on
+#: first use (PEP 562), so ``import repro.server.server`` — a front
+#: door that only routes frames — loads neither numpy nor the decoders.
+_EXPORTS = {
+    "Edge": "repro.graph.graph",
+    "Graph": "repro.graph.graph",
+    "InducedSubgraph": "repro.graph.graph",
+    "generators": "repro.graph.generators",
+    "FaultTolerantConnectivity": "repro.core.api",
+    "FaultTolerantDistance": "repro.core.api",
+    "FaultTolerantRouting": "repro.core.api",
+    "CycleSpaceConnectivityScheme": "repro.core.cycle_space_scheme",
+    "SketchConnectivityScheme": "repro.core.sketch_scheme",
+    "ForestConnectivityScheme": "repro.core.forest_scheme",
+    "DistanceLabelScheme": "repro.core.distance_labels",
+    "ConnectivityOracle": "repro.oracles",
+    "DistanceOracle": "repro.oracles",
+    "FaultScenario": "repro.scenarios",
+    "PartitionCache": "repro.serving",
+    "ShardedQueryService": "repro.serving",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(module)
+    if not module.endswith("." + name):  # ``generators`` is the module itself
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -476,14 +476,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
 
     if args.shards > 0:
-        # With a snapshot the shards run spawn-mode: each worker opens
-        # the file itself (shared page cache) instead of forking.
+        # With a snapshot the shards fork from the preloaded worker
+        # factory and each opens the file itself (shared page cache)
+        # instead of inheriting this process's scheme.
         with ShardedQueryService(
             scheme,
             num_shards=args.shards,
             cache_capacity=args.cache_capacity,
             max_chunk=args.chunk,
-            mp_context="spawn" if args.snapshot else "fork",
+            mp_context="forkserver" if args.snapshot else "fork",
             snapshot=args.snapshot or None,
         ) as svc:
             t0 = time.perf_counter()
@@ -506,9 +507,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve an artifact over TCP (the serve half of build/serve).
 
     ``--snapshot`` serves a ``build`` snapshot — with ``--shards N``
-    the workers mmap the file themselves (spawn mode, one page cache
-    for all of them); without a snapshot the artifact is constructed
-    in process from the workload flags and served object-backed.
+    the workers fork from one preloaded worker factory and mmap the
+    file themselves (one page cache for all of them); without a
+    snapshot the artifact is constructed in process from the workload
+    flags and served object-backed.
     SIGHUP or a client ``reload`` frame swaps generations with zero
     downtime.
     """
@@ -752,8 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--snapshot", default="",
                          help="serve off a `build --artifact sketch` "
                               "snapshot (answers cross-checked against "
-                              "in-process construction; shards run "
-                              "spawn-mode off the file)")
+                              "in-process construction; shards fork "
+                              "from a preloaded worker factory and "
+                              "open the file)")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
     p_srv = sub.add_parser(

@@ -12,26 +12,34 @@
 * :mod:`repro.core.api` — the user-facing facade.
 """
 
-from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
-from repro.core.sketch_scheme import ConnectivityPartition, SketchConnectivityScheme
-from repro.core.forest_scheme import ForestConnectivityScheme
-from repro.core.component_tree import ComponentForest
-from repro.core.path_description import PathSegment, SuccinctPath
-from repro.core.distance_labels import DistanceLabelScheme
-from repro.core.api import (
-    FaultTolerantConnectivity,
-    FaultTolerantDistance,
-)
+from importlib import import_module
 
-__all__ = [
-    "CycleSpaceConnectivityScheme",
-    "SketchConnectivityScheme",
-    "ConnectivityPartition",
-    "ForestConnectivityScheme",
-    "ComponentForest",
-    "PathSegment",
-    "SuccinctPath",
-    "DistanceLabelScheme",
-    "FaultTolerantConnectivity",
-    "FaultTolerantDistance",
-]
+#: exported name -> the module defining it, imported on first use
+#: (PEP 562): ``repro.core._batch`` and friends load without the schemes.
+_EXPORTS = {
+    "CycleSpaceConnectivityScheme": "repro.core.cycle_space_scheme",
+    "SketchConnectivityScheme": "repro.core.sketch_scheme",
+    "ConnectivityPartition": "repro.core.sketch_scheme",
+    "ForestConnectivityScheme": "repro.core.forest_scheme",
+    "ComponentForest": "repro.core.component_tree",
+    "PathSegment": "repro.core.path_description",
+    "SuccinctPath": "repro.core.path_description",
+    "DistanceLabelScheme": "repro.core.distance_labels",
+    "FaultTolerantConnectivity": "repro.core.api",
+    "FaultTolerantDistance": "repro.core.api",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

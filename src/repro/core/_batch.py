@@ -10,9 +10,8 @@ runner all agree on the convention.
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Integral
 from typing import Optional, Sequence
-
-import numpy as np
 
 
 def check_fault_ids(ids: Sequence[int], m: int) -> None:
@@ -53,7 +52,7 @@ def normalize_faults(
     every id goes through :func:`check_fault_ids`.
     """
     flist = list(faults)
-    if flist and isinstance(flist[0], (int, np.integer)):
+    if flist and isinstance(flist[0], Integral):
         shared = [int(ei) for ei in flist]
         if m is not None:
             check_fault_ids(shared, m)

@@ -4,7 +4,7 @@ One consistent measurement layer for every tier of the serving stack:
 
 * :class:`MetricsRegistry` — thread-safe counters/gauges/histograms on
   a fixed base-``2^(1/4)`` bucket family, merged **exactly** across
-  processes (spawn shard workers and build workers ship their
+  processes (shard workers and build workers ship their
   registries to the parent as dicts or zlib-packed bytes);
 * :class:`Trace` / :class:`SlowQueryLog` — per-request span timelines
   (decode → coalesce → shard → partition → send; ``coalesce`` is the

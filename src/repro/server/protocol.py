@@ -57,11 +57,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Optional, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.core.path_description import PathSegment, SuccinctPath
-from repro.core.sketch_scheme import SkDecodeResult
-from repro.routing.network import RouteResult, Telemetry
+if TYPE_CHECKING:  # the answer classes load only where answers are rebuilt
+    from repro.core.sketch_scheme import SkDecodeResult
+    from repro.routing.network import RouteResult
 
 #: Protocol magic + version: the first three bytes of every frame.
 MAGIC = b"DP"
@@ -455,7 +456,30 @@ def sk_result_to_wire(result: SkDecodeResult):
     return (bool(result.connected), int(result.phases_used), path)
 
 
+@cache
+def _sk_answer_types():
+    """``(SkDecodeResult, SuccinctPath, PathSegment)``, imported on first
+    use: only clients rebuild answers, and a front door importing this
+    module must not load the decoder.  Cached: the two import
+    statements cost about 3 µs per call, more than rebuilding a
+    verdict."""
+    from repro.core.path_description import PathSegment, SuccinctPath
+    from repro.core.sketch_scheme import SkDecodeResult
+
+    return SkDecodeResult, SuccinctPath, PathSegment
+
+
+@cache
+def _route_answer_types():
+    """``(RouteResult, Telemetry)``, imported on first use (see
+    :func:`_sk_answer_types`)."""
+    from repro.routing.network import RouteResult, Telemetry
+
+    return RouteResult, Telemetry
+
+
 def wire_to_sk_result(value) -> SkDecodeResult:
+    SkDecodeResult, SuccinctPath, PathSegment = _sk_answer_types()
     try:
         connected, phases, path = value
         if path is not None:
@@ -573,6 +597,7 @@ def route_result_to_wire(result: RouteResult):
 
 
 def wire_to_route_result(value) -> RouteResult:
+    RouteResult, Telemetry = _route_answer_types()
     try:
         delivered, s, t, length, scale, trace, tel = value
         (hops, weighted, gamma, reversals, reversal_hops, decodes,

@@ -6,15 +6,16 @@ service speaking the :mod:`repro.server.protocol` frames:
 * **fan-out by loop callbacks** — each connection is an
   :class:`asyncio.Protocol` whose read callback decodes, validates and
   submits every query frame to the shard workers of a
-  :class:`~repro.serving.shards.ShardedQueryService` (spawn-mode
-  workers that mmap one :mod:`repro.store` snapshot when the server is
-  snapshot-backed, fork/local otherwise); the loop's read of the shard
-  pipe calls the request's reply path, which writes the reply frame.
-  A query frame costs two loop callbacks and no Task.  The service
-  group-commits per home shard: an idle shard gets a request at once,
-  and requests that arrive while it works go as one batch when its
-  reply is read.  Workers reply with encoded v1 items, which the loop
-  splices into the reply frame without decoding them;
+  :class:`~repro.serving.shards.ShardedQueryService` (workers forked
+  from one preloaded worker factory that mmap one :mod:`repro.store`
+  snapshot when the server is snapshot-backed, fork/local otherwise);
+  the loop's read of the shard pipe calls the request's reply path,
+  which writes the reply frame.  A query frame costs two loop
+  callbacks and no Task.  The service group-commits per home shard: an
+  idle shard gets a request at once, and requests that arrive while it
+  works go as one batch when its reply is read.  Workers reply with
+  encoded v1 items, which the loop splices into the reply frame
+  without decoding them;
 * **backpressure + deadlines** — a connection stops reading while
   ``max_inflight`` of its requests are unanswered or its transport is
   paused for writing (TCP then pushes back on the client), and every
@@ -26,6 +27,15 @@ service speaking the :mod:`repro.server.protocol` frames:
   and respawned at the chunk timeout
   (:meth:`~repro.serving.shards.ShardedQueryService.restart_shard`;
   ``tests/test_server_chaos.py``);
+* **a warm start** — importing this module loads no numpy and no
+  decoder (the package inits are lazy), so :meth:`LabelServer.start`
+  starts the worker factory less than 0.2 s into the process.  The
+  factory imports the workers' modules on the second core while the
+  front door imports the store and reads the snapshot header; workers,
+  respawns and reload generations then fork from it in a few
+  milliseconds each.  The front door itself is never forked: a
+  ``fork`` child of a process with another thread blocked in a read of
+  stdin hangs before it starts;
 * **zero-downtime reload** — :meth:`LabelServer.reload` (admin
   ``RELOAD`` frame, or SIGHUP when enabled) builds a fresh
   *generation* from the snapshot path in a background thread, swaps it
@@ -55,7 +65,11 @@ from functools import partial
 from typing import Optional
 
 from repro.obs import MetricsRegistry, SlowQueryLog, Trace
-from repro.serving.shards import ShardedQueryService, ShardLostError
+from repro.serving.shards import (
+    ShardedQueryService,
+    ShardLostError,
+    start_worker_factory,
+)
 from repro.server.protocol import (
     EncodedItems,
     ErrorCode,
@@ -212,8 +226,10 @@ class LabelServer:
 
     Exactly one of ``backend`` (a live scheme / facade / router) or
     ``snapshot`` (a :mod:`repro.store` file) must be given.  Snapshot
-    mode is the production shape: ``num_shards`` spawn workers mmap
-    the file (one page-cache copy) and hot reload is available;
+    mode is the production shape: ``num_shards`` workers, forked from
+    one preloaded worker factory (``mp_context="forkserver"``, the
+    default; ``"spawn"`` stays selectable), mmap the file (one
+    page-cache copy) and hot reload is available;
     backend mode serves the object in-process (fork workers when
     ``num_shards > 0``) and is what the equivalence tests use.
 
@@ -250,7 +266,7 @@ class LabelServer:
         self.host = host
         self.port = port
         self.num_shards = num_shards
-        self.mp_context = mp_context or ("spawn" if snapshot else "fork")
+        self.mp_context = mp_context or ("forkserver" if snapshot else "fork")
         self.cache_capacity = cache_capacity
         self.max_chunk = max_chunk
         self.deadline_s = deadline_s
@@ -374,9 +390,21 @@ class LabelServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "LabelServer":
-        """Bind the listening socket and build the first generation."""
+        """Bind the listening socket and build the first generation.
+
+        A snapshot server with forkserver shards starts its worker
+        factory first: the factory imports the worker's modules on the
+        second core while this process imports the store and reads the
+        snapshot header, and the shard workers then fork from it warm.
+        """
         loop = self._loop = asyncio.get_running_loop()
         self._reload_lock = asyncio.Lock()
+        if (
+            self._snapshot_path is not None
+            and self.num_shards > 0
+            and self.mp_context == "forkserver"
+        ):
+            start_worker_factory()
         self._gen = self._activate(
             await loop.run_in_executor(
                 self._reload_executor,

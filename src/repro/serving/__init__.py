@@ -7,8 +7,9 @@ Production query serving on top of the immutable packed label stores
   an LRU of memoized ``decode_partition`` results, so all same-fault
   queries in a stream cost one decode;
 * :mod:`repro.serving.shards` — a process-pool service that shares
-  the packed stores with every worker (fork copy-on-write, or
-  spawn-safe workers that mmap a :mod:`repro.store` snapshot) and fans
+  the packed stores with every worker (fork copy-on-write, or workers
+  that mmap a :mod:`repro.store` snapshot, forked from one preloaded
+  forkserver or spawned) and fans
   queries out by fault-set hash, with a :class:`ServiceStats` snapshot.
   Its ``query_many`` groups, chunks and answers a whole stream in
   request order (``num_shards=0`` runs it in process); its ``submit``

@@ -14,6 +14,12 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   :meth:`ShardedQueryService.from_snapshot`).  Without fork and
   without a snapshot (and with ``num_shards=0``) it degrades to
   in-process shard caches — same answers, no processes;
+* with the ``forkserver`` context (the label server's default for
+  snapshots) forks every worker, respawns and reload generations
+  included, from **one preloaded worker factory**
+  (:func:`start_worker_factory`): a forkserver that imported the store
+  and decode modules once, so a worker start costs a fork (a few
+  milliseconds), not an interpreter start plus 0.3 s of imports;
 * talks to each worker over **its own duplex pipe** and nothing else:
   a batch goes parent → pipe → worker → pipe → parent, with no helper
   thread and no shared queue.  Blocking callers (:meth:`query_many`,
@@ -56,10 +62,13 @@ import os
 import pickle
 import socket
 import struct
+import sys
+import threading
 import time
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from functools import partial
+from multiprocessing import forkserver
 from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -88,8 +97,63 @@ _STOP_GRACE_S = 2.0
 _HOT_TRACK_LIMIT = 4096
 
 
+#: What a snapshot-backed worker imports before it can answer a sketch
+#: query.  The worker factory imports them once; every worker it forks
+#: starts with them loaded (:func:`start_worker_factory`).
+_FACTORY_PRELOAD = (
+    "repro.serving.shards",
+    "repro.store",
+    "repro.core.sketch_scheme",
+    "repro.server.protocol",
+)
+
+#: The directory that holds the ``repro`` package.
+_PACKAGE_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+#: Serializes the factory start's brief ``PYTHONPATH`` edit.
+_FACTORY_LOCK = threading.Lock()
+
+
 class ShardLostError(RuntimeError):
     """A shard worker died or stopped answering with a message in flight."""
+
+
+def start_worker_factory():
+    """The ``forkserver`` context, with its server running and preloaded
+    with :data:`_FACTORY_PRELOAD`; a no-op while that server lives.
+
+    Shard workers of a snapshot fork from this one warm process, so a
+    worker start, a respawn and a reload generation cost a fork instead
+    of an interpreter start plus the imports.  The forkserver is a fresh
+    exec'd interpreter with one thread, so every worker starts from a
+    clean process; the server's own process, whose other threads may
+    hold locks or block in reads, is never forked.
+
+    On Python 3.11 the forkserver is handed the parent's ``sys.path``
+    but never applies it, and its preload skips a module that fails to
+    import.  A program that finds ``repro`` only through an entry it
+    added to ``sys.path`` itself would get a factory that preloads
+    nothing, and every worker would import the stack on its own.  So
+    the package's directory goes first on the forkserver's
+    ``PYTHONPATH`` while it starts, and the parent's value comes back.
+    """
+    ctx = multiprocessing.get_context("forkserver")
+    with _FACTORY_LOCK:
+        ctx.set_forkserver_preload(list(_FACTORY_PRELOAD))
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, saved) if p
+        )
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return ctx
 
 
 def _serve_batch(cache: PartitionCache, entries) -> list:
@@ -145,22 +209,28 @@ def _worker_main(conn, source, cache_capacity: int, metrics: bool) -> None:
     """Body of one shard worker: answer ``conn``'s messages in order.
 
     ``source`` is the scheme itself (fork: inherited copy-on-write) or
-    the path of a snapshot the worker opens read-only (spawn: every
-    worker on the host shares one page-cache copy of the packed
-    stores).  Each message ``(op, args)`` gets one reply ``(ok,
+    the path of a snapshot the worker opens read-only (forkserver or
+    spawn: every worker on the host shares one page-cache copy of the
+    packed stores).  Each message ``(op, args)`` gets one reply ``(ok,
     payload)`` — the result, or the exception it raised.  A worker whose
     source fails to open stays up and answers every message with that
     error, so a bad snapshot cannot become a respawn loop.  Returns at
     EOF (the parent closed its end or died).
+
+    The worker's registry counts ``worker.starts`` and, of those,
+    ``worker.preloaded_starts``: starts that found :mod:`repro.store`
+    already imported (forked from the preloaded factory, or from a
+    parent that had loaded it).  The STATS sweep merges both exactly.
     """
+    obs = MetricsRegistry(enabled=metrics)
+    obs.counter("worker.starts").inc()
+    obs.counter("worker.preloaded_starts").inc(int("repro.store" in sys.modules))
     try:
         if isinstance(source, str):
             from repro.store import load_snapshot
 
             source = load_snapshot(source)
-        cache = PartitionCache(
-            source, capacity=cache_capacity, obs=MetricsRegistry(enabled=metrics)
-        )
+        cache = PartitionCache(source, capacity=cache_capacity, obs=obs)
         broken = None
     except Exception as exc:
         cache, broken = None, exc
@@ -405,9 +475,11 @@ class ShardedQueryService:
         inheriting the store by fork copy-on-write, which makes every
         ``mp_context`` viable — ``"spawn"`` included — and lets shards
         span processes that share nothing but the file (see
-        :meth:`from_snapshot`).  Without a snapshot, non-fork contexts
-        degrade to the in-process local mode (a spawned worker cannot
-        inherit the parent's scheme object)."""
+        :meth:`from_snapshot`).  ``"forkserver"`` workers, respawns
+        included, fork from one preloaded worker factory
+        (:func:`start_worker_factory`).  Without a snapshot, non-fork
+        contexts degrade to the in-process local mode (a spawned worker
+        cannot inherit the parent's scheme object)."""
         if max_chunk < 1:
             raise ValueError("max_chunk must be >= 1")
         if hot_key_share is not None and not (0.0 < hot_key_share <= 1.0):
@@ -445,15 +517,15 @@ class ShardedQueryService:
                 and ctx.get_start_method() != "fork"
                 and self.snapshot is None
             ):
-                # A spawned worker starts from a fresh interpreter and
-                # cannot inherit the parent's scheme object; without a
-                # snapshot to open there is nothing to serve from.
+                # A spawned or forkserver worker is not a fork of this
+                # process and cannot inherit its scheme object; without
+                # a snapshot to open there is nothing to serve from.
                 ctx = None
         self._start_method = None if ctx is None else ctx.get_start_method()
         if self.scheme is None and (ctx is None or self._start_method == "fork"):
             # The parent only needs the live scheme when it serves
             # queries itself (local mode) or hands it to workers by
-            # fork; snapshot-backed (spawn) workers leave it unloaded —
+            # fork; snapshot-backed workers leave it unloaded —
             # they open the file themselves and the parent scheme
             # would never serve a chunk.
             from repro.store import load_snapshot
@@ -491,7 +563,7 @@ class ShardedQueryService:
             self.num_shards = num_shards
             self._ctx = ctx
             # A forked worker inherits the live scheme (respawns too:
-            # the parent keeps it); a spawned one opens the snapshot.
+            # the parent keeps it); any other opens the snapshot.
             source = self.scheme if self._start_method == "fork" else self.snapshot
             self._worker_args = (source, cache_capacity, metrics)
             self._workers = [self._spawn(shard, 0) for shard in range(num_shards)]
@@ -531,13 +603,16 @@ class ShardedQueryService:
 
     @property
     def mode(self) -> str:
-        """``"fork"``/``"spawn"``/... (worker processes) or ``"local"``."""
+        """``"fork"``/``"forkserver"``/``"spawn"`` (worker processes) or
+        ``"local"``."""
         return self._start_method if self._workers is not None else "local"
 
     # ------------------------------------------------------------------
     # Worker processes and their pipes
     # ------------------------------------------------------------------
     def _spawn(self, shard: int, epoch: int) -> _Worker:
+        if self._start_method == "forkserver":
+            start_worker_factory()
         parent_end, child_end = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,

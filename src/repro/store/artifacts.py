@@ -33,8 +33,8 @@ is deterministic, so a restored artifact answers ``query_many`` /
 Loads default to ``mmap=True``: the big segments come back as
 read-only views into one shared file mapping, so any number of serving
 processes opening the same snapshot share a single page-cache copy —
-the build-once / serve-many story the serving layer's spawn mode
-(:class:`~repro.serving.shards.ShardedQueryService`) builds on.
+the build-once / serve-many story the serving layer's snapshot-backed
+workers (:class:`~repro.serving.shards.ShardedQueryService`) build on.
 """
 
 from __future__ import annotations
@@ -622,35 +622,37 @@ _RESTORERS = {
 }
 
 
-def _state_of(obj) -> tuple[str, dict, dict]:
-    from repro.core.api import (
-        FaultTolerantConnectivity,
-        FaultTolerantDistance,
-        FaultTolerantRouting,
-    )
-    from repro.core.cycle_space_scheme import CycleSpaceConnectivityScheme
-    from repro.core.distance_labels import DistanceLabelScheme
-    from repro.core.forest_scheme import ForestConnectivityScheme
-    from repro.core.sketch_scheme import SketchConnectivityScheme
-    from repro.routing.fault_tolerant import FaultTolerantRouter
+#: ``module.Class`` of each artifact type -> (kind, state extractor).
+#: Keyed by name, so a save imports nothing beyond what the saved
+#: object's own class already loaded.
+_EXTRACTORS = {
+    "repro.core.sketch_scheme.SketchConnectivityScheme": ("sketch", _sketch_state),
+    "repro.core.cycle_space_scheme.CycleSpaceConnectivityScheme": (
+        "cycle_space", _cycle_state
+    ),
+    "repro.core.forest_scheme.ForestConnectivityScheme": ("forest", _forest_state),
+    "repro.core.distance_labels.DistanceLabelScheme": ("distance", _distance_state),
+    "repro.routing.fault_tolerant.FaultTolerantRouter": ("router", _router_state),
+    "repro.core.api.FaultTolerantConnectivity": (
+        "connectivity-facade", _connectivity_facade_state
+    ),
+    "repro.core.api.FaultTolerantDistance": (
+        "distance-facade", _distance_facade_state
+    ),
+    "repro.core.api.FaultTolerantRouting": ("routing-facade", _routing_facade_state),
+}
 
-    handlers = (
-        (SketchConnectivityScheme, "sketch", _sketch_state),
-        (CycleSpaceConnectivityScheme, "cycle_space", _cycle_state),
-        (ForestConnectivityScheme, "forest", _forest_state),
-        (DistanceLabelScheme, "distance", _distance_state),
-        (FaultTolerantRouter, "router", _router_state),
-        (FaultTolerantConnectivity, "connectivity-facade", _connectivity_facade_state),
-        (FaultTolerantDistance, "distance-facade", _distance_facade_state),
-        (FaultTolerantRouting, "routing-facade", _routing_facade_state),
-    )
-    for cls, kind, extract in handlers:
-        if type(obj) is cls:
-            meta, arrays = extract(obj)
-            return kind, meta, arrays
-    raise SnapshotError(
-        f"no snapshot handler for objects of type {type(obj).__name__}"
-    )
+
+def _state_of(obj) -> tuple[str, dict, dict]:
+    cls = type(obj)
+    handler = _EXTRACTORS.get(f"{cls.__module__}.{cls.__qualname__}")
+    if handler is None:
+        raise SnapshotError(
+            f"no snapshot handler for objects of type {cls.__name__}"
+        )
+    kind, extract = handler
+    meta, arrays = extract(obj)
+    return kind, meta, arrays
 
 
 def save_snapshot(path: Union[str, Path], obj) -> Path:
