@@ -11,7 +11,7 @@ gate: metrics-on throughput must stay within
   streams, instruments disabled vs enabled.  Local mode keeps process
   scheduling noise out of a 5 % comparison; the instrument points
   exercised (chunk histograms, cache hit/miss counters, tallies) are
-  the same ones the socket server's pool mode hits.
+  the same ones the socket server's worker shards hit.
 * ``metrics_overhead`` — ``qps_off / qps_on - 1`` (the gated headline;
   both sides measured interleaved in the same run, so machine speed
   cancels).
@@ -94,9 +94,8 @@ def _serving_qps(scheme, pairs, per, repeats: int) -> tuple[float, float]:
     for enabled in (False, True):
         svc = ShardedQueryService(
             scheme,
-            num_shards=2,
+            num_shards=0,  # in-process: no pool scheduling noise
             cache_capacity=FAULT_SETS + 1,
-            mp_context="local",  # in-process: no pool scheduling noise
             metrics=enabled,
         )
         svc.query_many(pairs, per)  # warm every partition cache

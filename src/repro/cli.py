@@ -398,7 +398,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     * an in-process service (``num_shards=0``): its ``query_many``
       coalesces the stream into fault-set chunks of at most ``--chunk``
       queries, each answered off one partition cache;
-    * optionally (``--shards N``) the fork-based sharded service.
+    * optionally (``--shards N``) a sharded service whose workers fork
+      from the preloaded worker factory over a snapshot.
 
     Every path's verdicts are cross-checked before printing.
     """
@@ -476,17 +477,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
 
     if args.shards > 0:
-        # With a snapshot the shards fork from the preloaded worker
-        # factory and each opens the file itself (shared page cache)
-        # instead of inheriting this process's scheme.
         with ShardedQueryService(
             scheme,
             num_shards=args.shards,
             cache_capacity=args.cache_capacity,
             max_chunk=args.chunk,
-            mp_context="forkserver" if args.snapshot else "fork",
             snapshot=args.snapshot or None,
         ) as svc:
+            svc.stats()  # the clock starts once every worker is serving
             t0 = time.perf_counter()
             sharded = svc.query_many(pairs, per, want_path=False)
             shard_s = time.perf_counter() - t0
@@ -506,13 +504,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve an artifact over TCP (the serve half of build/serve).
 
-    ``--snapshot`` serves a ``build`` snapshot — with ``--shards N``
-    the workers fork from one preloaded worker factory and mmap the
-    file themselves (one page cache for all of them); without a
-    snapshot the artifact is constructed in process from the workload
-    flags and served object-backed.
+    ``--snapshot`` serves a ``build`` snapshot; without one the
+    artifact is constructed in process from the workload flags and
+    served object-backed.  With ``--shards N`` the workers fork from one
+    preloaded worker factory and mmap the snapshot themselves (one page
+    cache for all of them) — for a built artifact, a private temporary
+    snapshot saved at start.
     SIGHUP or a client ``reload`` frame swaps generations with zero
-    downtime.
+    downtime; SIGTERM stops the server as Ctrl-C does.
     """
     from repro.server import run_server
 
@@ -754,9 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--snapshot", default="",
                          help="serve off a `build --artifact sketch` "
                               "snapshot (answers cross-checked against "
-                              "in-process construction; shards fork "
-                              "from a preloaded worker factory and "
-                              "open the file)")
+                              "in-process construction; shards open it "
+                              "instead of a private snapshot)")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
     p_srv = sub.add_parser(
@@ -767,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--snapshot", default="",
                        help="serve a `build` snapshot file (shard workers "
                             "mmap it; omitting builds in process from the "
-                            "workload flags)")
+                            "workload flags, and shards mmap a private "
+                            "snapshot of it)")
     p_srv.add_argument("--artifact", default="sketch",
                        choices=["sketch", "router", "connectivity", "distance"],
                        help="what to construct when no --snapshot is given")

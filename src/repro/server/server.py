@@ -7,8 +7,9 @@ service speaking the :mod:`repro.server.protocol` frames:
   :class:`asyncio.Protocol` whose read callback decodes, validates and
   submits every query frame to the shard workers of a
   :class:`~repro.serving.shards.ShardedQueryService` (workers forked
-  from one preloaded worker factory that mmap one :mod:`repro.store`
-  snapshot when the server is snapshot-backed, fork/local otherwise);
+  from one preloaded worker factory, each mapping one
+  :mod:`repro.store` snapshot: the served file, or a private one saved
+  from a live backend);
   the loop's read of the shard pipe calls the request's reply path,
   which writes the reply frame.  A query frame costs two loop
   callbacks and no Task.  The service group-commits per home shard: an
@@ -225,13 +226,15 @@ class LabelServer:
     """Asyncio RPC server over one labeling/routing artifact.
 
     Exactly one of ``backend`` (a live scheme / facade / router) or
-    ``snapshot`` (a :mod:`repro.store` file) must be given.  Snapshot
-    mode is the production shape: ``num_shards`` workers, forked from
-    one preloaded worker factory (``mp_context="forkserver"``, the
-    default; ``"spawn"`` stays selectable), mmap the file (one
-    page-cache copy) and hot reload is available;
-    backend mode serves the object in-process (fork workers when
-    ``num_shards > 0``) and is what the equivalence tests use.
+    ``snapshot`` (a :mod:`repro.store` file) must be given.  With
+    ``num_shards > 0`` connectivity and distance queries go to that many
+    shard workers, forked from one preloaded worker factory, that mmap
+    one snapshot (one page-cache copy): the file, or for a backend a
+    private temporary snapshot saved once at start (see
+    :class:`~repro.serving.shards.ShardedQueryService`).  With
+    ``num_shards=0``, and for routers, the server answers in process.
+    Snapshot mode is the production shape, and only it reloads without
+    a path; backend mode is what the equivalence tests use.
 
     Lifecycle: ``await start()``, then :meth:`serve_forever` (or just
     keep the loop alive); ``await aclose()`` tears everything down.
@@ -245,7 +248,6 @@ class LabelServer:
         host: str = "127.0.0.1",
         port: int = 0,
         num_shards: int = 0,
-        mp_context: Optional[str] = None,
         cache_capacity: int = 128,
         max_chunk: int = 512,
         deadline_s: float = 30.0,
@@ -266,7 +268,6 @@ class LabelServer:
         self.host = host
         self.port = port
         self.num_shards = num_shards
-        self.mp_context = mp_context or ("forkserver" if snapshot else "fork")
         self.cache_capacity = cache_capacity
         self.max_chunk = max_chunk
         self.deadline_s = deadline_s
@@ -314,37 +315,26 @@ class LabelServer:
     # ------------------------------------------------------------------
     def _build_generation(self, path: Optional[str]) -> _Generation:
         """Construct a serving generation (runs in a worker thread)."""
+        obj = None
         if path is None:
             obj = self._backend
             kind = _kind_of(obj)
             n, m = obj.graph.n, obj.graph.m
-            if _KINDS[kind][0] is FrameType.ROUTE:
-                return _Generation(kind, None, None, obj, n, m)
-            service = ShardedQueryService(
-                obj,
-                num_shards=self.num_shards,
-                cache_capacity=self.cache_capacity,
-                max_chunk=self.max_chunk,
-                mp_context=self.mp_context,
-                hot_key_share=self.hot_key_share,
-                chunk_timeout=self.chunk_timeout,
-                metrics=self.metrics_enabled,
-            )
-            return _Generation(kind, None, service, None, n, m)
-        from repro.store import load_snapshot, snapshot_info
+        else:
+            from repro.store import load_snapshot, snapshot_info
 
-        info = snapshot_info(path)
-        kind = info["kind"]
-        if kind not in _KINDS:
-            raise ValueError(f"snapshot {path} holds unservable kind {kind!r}")
-        n, m = _graph_dims(info["meta"])
+            info = snapshot_info(path)
+            kind = info["kind"]
+            if kind not in _KINDS:
+                raise ValueError(f"snapshot {path} holds unservable kind {kind!r}")
+            n, m = _graph_dims(info["meta"])
         if _KINDS[kind][0] is FrameType.ROUTE:
-            router = load_snapshot(path)
+            router = obj if path is None else load_snapshot(path)
             return _Generation(kind, path, None, router, n, m)
-        service = ShardedQueryService.from_snapshot(
-            path,
+        service = ShardedQueryService(
+            obj,
+            snapshot=path,
             num_shards=self.num_shards,
-            mp_context=self.mp_context,
             cache_capacity=self.cache_capacity,
             max_chunk=self.max_chunk,
             hot_key_share=self.hot_key_share,
@@ -392,18 +382,15 @@ class LabelServer:
     async def start(self) -> "LabelServer":
         """Bind the listening socket and build the first generation.
 
-        A snapshot server with forkserver shards starts its worker
-        factory first: the factory imports the worker's modules on the
-        second core while this process imports the store and reads the
-        snapshot header, and the shard workers then fork from it warm.
+        A server with shards starts its worker factory first: the
+        factory imports the worker's modules on the second core while
+        this process imports the store and reads the snapshot header (or
+        saves a backend's private snapshot), and the shard workers then
+        fork from it warm.
         """
         loop = self._loop = asyncio.get_running_loop()
         self._reload_lock = asyncio.Lock()
-        if (
-            self._snapshot_path is not None
-            and self.num_shards > 0
-            and self.mp_context == "forkserver"
-        ):
+        if self.num_shards > 0:
             start_worker_factory()
         self._gen = self._activate(
             await loop.run_in_executor(
@@ -967,9 +954,11 @@ def run_server(
     """Blocking convenience runner (the ``cli.py serve`` entry point).
 
     Starts a :class:`LabelServer` and serves until cancelled
-    (KeyboardInterrupt included).  ``ready_event`` (a
-    ``threading.Event``-alike) is set once the socket is bound — test
-    and bench harnesses that run the server in a thread wait on it.
+    (KeyboardInterrupt included; in the main thread SIGTERM too), then
+    closes it, which deletes a built artifact's private snapshot.
+    ``ready_event`` (a ``threading.Event``-alike) is set once the socket
+    is bound — test and bench harnesses that run the server in a thread
+    wait on it.
     """
 
     async def _main():
@@ -978,11 +967,15 @@ def run_server(
         print(
             f"repro.server: serving {server.kind} on "
             f"{server.host}:{server.port} "
-            f"({server.num_shards} shards, {server.mp_context})",
+            f"({server.num_shards} shards)",
             flush=True,
         )
         if ready_event is not None:
             ready_event.set()
+        with contextlib.suppress(RuntimeError):  # not the main thread
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

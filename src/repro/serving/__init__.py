@@ -6,11 +6,11 @@ Production query serving on top of the immutable packed label stores
 * :mod:`repro.serving.partition_cache` — canonical fault-set keys and
   an LRU of memoized ``decode_partition`` results, so all same-fault
   queries in a stream cost one decode;
-* :mod:`repro.serving.shards` — a process-pool service that shares
-  the packed stores with every worker (fork copy-on-write, or workers
-  that mmap a :mod:`repro.store` snapshot, forked from one preloaded
-  forkserver or spawned) and fans
-  queries out by fault-set hash, with a :class:`ServiceStats` snapshot.
+* :mod:`repro.serving.shards` — a process-pool service whose workers
+  all fork from one preloaded forkserver and mmap one
+  :mod:`repro.store` snapshot (the caller's file, or a private
+  temporary snapshot of a live scheme), and that fans queries out by
+  fault-set hash, with a :class:`ServiceStats` snapshot.
   Its ``query_many`` groups, chunks and answers a whole stream in
   request order (``num_shards=0`` runs it in process); its ``submit``
   takes one request at a time from the network server's event loop and

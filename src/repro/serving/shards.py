@@ -1,25 +1,23 @@
-"""Sharded query service: one worker process per shard over immutable
-packed stores.
+"""Sharded query service: one worker process per shard over one
+immutable snapshot.
 
 Once constructed, a scheme's packed label store never mutates — the
 whole query side is read-only — so serving can fan out across worker
 processes without locks or copies.  :class:`ShardedQueryService`:
 
-* forces the packed store to materialize in the parent, then **forks**
-  one worker process per shard: the store transfers to every worker
-  once, for free, via copy-on-write; alternatively, given a
-  :mod:`repro.store` ``snapshot`` path, workers **open the snapshot
-  themselves** (read-only mmap — one shared page-cache copy), which
-  makes every start method viable, ``spawn`` included (see
-  :meth:`ShardedQueryService.from_snapshot`).  Without fork and
-  without a snapshot (and with ``num_shards=0``) it degrades to
-  in-process shard caches — same answers, no processes;
-* with the ``forkserver`` context (the label server's default for
-  snapshots) forks every worker, respawns and reload generations
-  included, from **one preloaded worker factory**
+* starts shards **one way**.  ``num_shards=0`` answers in process from
+  one :class:`~repro.serving.partition_cache.PartitionCache`.  Any
+  ``num_shards > 0`` forks every worker, respawns and reload
+  generations included, from **one preloaded worker factory**
   (:func:`start_worker_factory`): a forkserver that imported the store
   and decode modules once, so a worker start costs a fork (a few
-  milliseconds), not an interpreter start plus 0.3 s of imports;
+  milliseconds), not an interpreter start plus 0.3 s of imports.  Each
+  worker opens a :mod:`repro.store` snapshot read-only (mmap: every
+  worker on the host shares one page-cache copy) — the caller's file,
+  or, for a live scheme, a private temporary snapshot the service
+  saves once and :meth:`~ShardedQueryService.close` deletes.  No
+  worker is a fork of the caller, whose other threads may hold locks
+  or block in reads;
 * talks to each worker over **its own duplex pipe** and nothing else:
   a batch goes parent → pipe → worker → pipe → parent, with no helper
   thread and no shared queue.  Blocking callers (:meth:`query_many`,
@@ -49,9 +47,9 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   restarts) or a worker cache's (hits, misses, evictions); a
   :class:`ServiceStats` is a read-only view of their merged dump.
 
-Answers are bit-identical to the single-process scheme (construction is
-finished before the fork, so every worker holds the same store;
-asserted by ``tests/test_serving.py``).
+Answers are bit-identical to the single-process scheme (a restored
+snapshot answers bit for bit like the object saved; asserted by
+``tests/test_serving.py``).
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ import asyncio
 import multiprocessing
 import os
 import pickle
+import shutil
 import socket
 import struct
 import sys
@@ -97,9 +96,9 @@ _STOP_GRACE_S = 2.0
 _HOT_TRACK_LIMIT = 4096
 
 
-#: What a snapshot-backed worker imports before it can answer a sketch
-#: query.  The worker factory imports them once; every worker it forks
-#: starts with them loaded (:func:`start_worker_factory`).
+#: What a worker imports before it can answer a sketch query.  The
+#: worker factory imports them once; every worker it forks starts with
+#: them loaded (:func:`start_worker_factory`).
 _FACTORY_PRELOAD = (
     "repro.serving.shards",
     "repro.store",
@@ -124,9 +123,9 @@ def start_worker_factory():
     """The ``forkserver`` context, with its server running and preloaded
     with :data:`_FACTORY_PRELOAD`; a no-op while that server lives.
 
-    Shard workers of a snapshot fork from this one warm process, so a
-    worker start, a respawn and a reload generation cost a fork instead
-    of an interpreter start plus the imports.  The forkserver is a fresh
+    Every shard worker forks from this one warm process, so a worker
+    start, a respawn and a reload generation cost a fork instead of an
+    interpreter start plus the imports.  The forkserver is a fresh
     exec'd interpreter with one thread, so every worker starts from a
     clean process; the server's own process, whose other threads may
     hold locks or block in reads, is never forked.
@@ -205,32 +204,31 @@ def shard_of(key: FaultKey, num_shards: int) -> int:
 _OPS = {"batch": _serve_batch, "stats": _cache_dump}
 
 
-def _worker_main(conn, source, cache_capacity: int, metrics: bool) -> None:
+def _worker_main(conn, snapshot: str, cache_capacity: int, metrics: bool) -> None:
     """Body of one shard worker: answer ``conn``'s messages in order.
 
-    ``source`` is the scheme itself (fork: inherited copy-on-write) or
-    the path of a snapshot the worker opens read-only (forkserver or
-    spawn: every worker on the host shares one page-cache copy of the
-    packed stores).  Each message ``(op, args)`` gets one reply ``(ok,
-    payload)`` — the result, or the exception it raised.  A worker whose
-    source fails to open stays up and answers every message with that
-    error, so a bad snapshot cannot become a respawn loop.  Returns at
-    EOF (the parent closed its end or died).
+    The worker opens ``snapshot`` read-only (every worker on the host
+    shares one page-cache copy of the packed stores).  Each message
+    ``(op, args)`` gets one reply ``(ok, payload)`` — the result, or the
+    exception it raised.  A worker whose snapshot fails to open stays up
+    and answers every message with that error, so a bad snapshot cannot
+    become a respawn loop.  Returns at EOF (the parent closed its end or
+    died).
 
     The worker's registry counts ``worker.starts`` and, of those,
     ``worker.preloaded_starts``: starts that found :mod:`repro.store`
-    already imported (forked from the preloaded factory, or from a
-    parent that had loaded it).  The STATS sweep merges both exactly.
+    already imported (forked from the preloaded factory).  The STATS
+    sweep merges both exactly.
     """
     obs = MetricsRegistry(enabled=metrics)
     obs.counter("worker.starts").inc()
     obs.counter("worker.preloaded_starts").inc(int("repro.store" in sys.modules))
     try:
-        if isinstance(source, str):
-            from repro.store import load_snapshot
+        from repro.store import load_snapshot
 
-            source = load_snapshot(source)
-        cache = PartitionCache(source, capacity=cache_capacity, obs=obs)
+        cache = PartitionCache(
+            load_snapshot(snapshot), capacity=cache_capacity, obs=obs
+        )
         broken = None
     except Exception as exc:
         cache, broken = None, exc
@@ -351,7 +349,7 @@ class ServiceStats:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_entries: int = 0  # live partitions across all worker caches
-    mode: str = "fork"
+    mode: str = "local"
     max_chunk_seen: int = 0
     hot_keys: int = 0
     replicated_chunks: int = 0
@@ -430,11 +428,11 @@ class ShardedQueryService:
     """Fan fault-set query chunks out over per-shard processes.
 
     ``scheme`` is anything with ``decode_partition`` (see
-    :class:`~repro.serving.partition_cache.PartitionCache`); its packed
-    store is materialized up front so the fork shares it.  With
-    ``num_shards=0`` (or where ``fork`` is unavailable) the service
-    runs in-process with one partition cache per logical shard —
-    identical answers, useful as a baseline and on exotic platforms.
+    :class:`~repro.serving.partition_cache.PartitionCache`).  With
+    ``num_shards=0`` the service answers in process from one partition
+    cache — identical answers, no processes.  With ``num_shards > 0``
+    every worker forks from the preloaded worker factory and opens a
+    snapshot of the scheme (see :meth:`__init__`).
 
     One thread drives a service: the calling thread of the blocking
     API, or the loop passed to :meth:`bind_loop`.  Use as a context
@@ -448,7 +446,6 @@ class ShardedQueryService:
         num_shards: int = 2,
         cache_capacity: int = 128,
         max_chunk: int = 1024,
-        mp_context: str = "fork",
         hot_key_share: Optional[float] = 0.5,
         hot_key_min_queries: int = 512,
         snapshot: Optional[str] = None,
@@ -470,16 +467,16 @@ class ShardedQueryService:
         network server runs with a short timeout; the in-process benches
         keep the 600 s default.
 
-        ``snapshot`` names a :mod:`repro.store` snapshot file of the
-        scheme: workers then *open the snapshot themselves* instead of
-        inheriting the store by fork copy-on-write, which makes every
-        ``mp_context`` viable — ``"spawn"`` included — and lets shards
-        span processes that share nothing but the file (see
-        :meth:`from_snapshot`).  ``"forkserver"`` workers, respawns
-        included, fork from one preloaded worker factory
-        (:func:`start_worker_factory`).  Without a snapshot, non-fork
-        contexts degrade to the in-process local mode (a spawned worker
-        cannot inherit the parent's scheme object)."""
+        The workers open ``snapshot``, a :mod:`repro.store` file of the
+        scheme (``scheme`` may then be ``None``: the parent loads the
+        file only to serve it in process; see :meth:`from_snapshot`).
+        Without one, the service saves ``scheme`` once, here, to a
+        private temporary snapshot (in a ``repro-shards-*`` directory of
+        :func:`tempfile.gettempdir` that only this user can read), which
+        :meth:`close` deletes.  An object
+        :func:`~repro.store.save_snapshot` cannot persist raises its
+        :class:`~repro.store.SnapshotError` (and leaves no file);
+        ``num_shards=0`` still serves it."""
         if max_chunk < 1:
             raise ValueError("max_chunk must be >= 1")
         if hot_key_share is not None and not (0.0 < hot_key_share <= 1.0):
@@ -488,6 +485,7 @@ class ShardedQueryService:
             raise ValueError("need a scheme or a snapshot path")
         self.scheme = scheme  # stays None with snapshot-backed workers
         self.snapshot = None if snapshot is None else str(snapshot)
+        self.num_shards = max(1, num_shards)
         self.max_chunk = max_chunk
         self.cache_capacity = cache_capacity
         self.hot_key_share = hot_key_share
@@ -500,73 +498,6 @@ class ShardedQueryService:
         #: parent-side metrics (service counts, chunk sizes, worker
         #: seconds); :meth:`stats` merges the worker registries in.
         self.obs = MetricsRegistry(enabled=metrics)
-        self._workers: Optional[list[_Worker]] = None
-        self._local: Optional[list[PartitionCache]] = None
-        #: the asyncio loop that owns the pipes (see :meth:`bind_loop`)
-        self._loop = None
-        #: replaced workers' processes, SIGKILLed and not yet reaped
-        self._dead: list = []
-        ctx = None
-        if num_shards > 0:
-            try:
-                ctx = multiprocessing.get_context(mp_context)
-            except ValueError:
-                ctx = None
-            if (
-                ctx is not None
-                and ctx.get_start_method() != "fork"
-                and self.snapshot is None
-            ):
-                # A spawned or forkserver worker is not a fork of this
-                # process and cannot inherit its scheme object; without
-                # a snapshot to open there is nothing to serve from.
-                ctx = None
-        self._start_method = None if ctx is None else ctx.get_start_method()
-        if self.scheme is None and (ctx is None or self._start_method == "fork"):
-            # The parent only needs the live scheme when it serves
-            # queries itself (local mode) or hands it to workers by
-            # fork; snapshot-backed workers leave it unloaded —
-            # they open the file themselves and the parent scheme
-            # would never serve a chunk.
-            from repro.store import load_snapshot
-
-            self.scheme = load_snapshot(self.snapshot)
-        elif self.scheme is None:
-            # Snapshot-backed workers: fail fast on a missing or
-            # corrupt file *here*, with the real SnapshotError, rather
-            # than in every worker at its first chunk.
-            from repro.store import read_snapshot
-
-            read_snapshot(self.snapshot, verify=False)
-        if self._start_method == "fork":
-            # Materialize the packed stores before any fork so workers
-            # inherit them instead of each rebuilding their own copy
-            # (the distance scheme keeps one store per (scale, cluster)
-            # instance; the core.api facades hide theirs behind
-            # ``.impl``).  Local mode builds its stores lazily on
-            # first use instead.
-            self.scheme.decode_partition(())
-            inner = getattr(self.scheme, "impl", self.scheme)
-            for inst in getattr(inner, "instances", {}).values():
-                inst.scheme.decode_partition(())
-        if ctx is None:
-            self.num_shards = max(1, num_shards)
-            self._local = [
-                PartitionCache(
-                    self.scheme,
-                    capacity=cache_capacity,
-                    obs=MetricsRegistry(enabled=metrics),
-                )
-                for _ in range(self.num_shards)
-            ]
-        else:
-            self.num_shards = num_shards
-            self._ctx = ctx
-            # A forked worker inherits the live scheme (respawns too:
-            # the parent keeps it); any other opens the snapshot.
-            source = self.scheme if self._start_method == "fork" else self.snapshot
-            self._worker_args = (source, cache_capacity, metrics)
-            self._workers = [self._spawn(shard, 0) for shard in range(num_shards)]
         # every service.* and shard.<i>.queries name exists, at zero
         count = self.obs.counter
         self._queries, self._chunks = count("service.queries"), count("service.chunks")
@@ -578,45 +509,74 @@ class ShardedQueryService:
         self.obs.gauge("service.hot_keys").set(0)
         #: per shard, submitted requests waiting for the batch in flight
         self._waiting = [deque() for _ in range(self.num_shards)]
+        self._workers: Optional[list[_Worker]] = None
+        self._local: Optional[PartitionCache] = None
+        #: the directory of the private snapshot (deleted by close)
+        self._private: Optional[str] = None
+        #: the asyncio loop that owns the pipes (see :meth:`bind_loop`)
+        self._loop = None
+        #: replaced workers' processes, SIGKILLed and not yet reaped
+        self._dead: list = []
+        if num_shards <= 0:
+            if self.scheme is None:
+                from repro.store import load_snapshot
+
+                self.scheme = load_snapshot(self.snapshot)
+            self._local = PartitionCache(
+                self.scheme,
+                capacity=cache_capacity,
+                obs=MetricsRegistry(enabled=metrics),
+            )
+            return
+        self._workers = []
+        try:  # a failure stops every worker started, deletes the file
+            if self.snapshot is None:
+                import tempfile
+
+                from repro.store import save_snapshot
+
+                self._private = tempfile.mkdtemp(prefix="repro-shards-")
+                path = os.path.join(self._private, "scheme.snap")
+                self.snapshot = str(save_snapshot(path, scheme))
+            else:
+                # Fail fast on a missing or corrupt file *here*, with
+                # the real SnapshotError, rather than in every worker
+                # at its first chunk.
+                from repro.store import read_snapshot
+
+                read_snapshot(self.snapshot, verify=False)
+            for shard in range(num_shards):
+                self._workers.append(self._spawn(shard, 0))
+        except BaseException:
+            self.close()
+            raise
 
     @classmethod
-    def from_snapshot(
-        cls, path, num_shards: int = 2, mp_context: str = "spawn", **kw
-    ) -> "ShardedQueryService":
-        """Serve a saved scheme snapshot (build/serve split, no fork).
+    def from_snapshot(cls, path, num_shards: int = 2, **kw) -> "ShardedQueryService":
+        """Serve a saved scheme snapshot (the build/serve split).
 
         Hands each worker the *path*: workers open the same file
         read-only, so N serving processes share one page-cache copy of
-        the packed stores.  The parent itself loads the snapshot only
-        if it ends up serving queries (the local fallback) — with
-        workers ``self.scheme`` stays ``None``.  Defaults to the spawn
-        context — the configuration fork-less platforms and multi-host
-        deployments use.
+        the packed stores.  The parent loads the snapshot only if it
+        serves queries itself (``num_shards=0``) — with workers
+        ``self.scheme`` stays ``None``.
         """
-        return cls(
-            None,
-            num_shards=num_shards,
-            mp_context=mp_context,
-            snapshot=str(path),
-            **kw,
-        )
+        return cls(None, num_shards=num_shards, snapshot=str(path), **kw)
 
     @property
     def mode(self) -> str:
-        """``"fork"``/``"forkserver"``/``"spawn"`` (worker processes) or
-        ``"local"``."""
-        return self._start_method if self._workers is not None else "local"
+        """``"forkserver"`` (worker processes) or ``"local"``."""
+        return "forkserver" if self._workers is not None else "local"
 
     # ------------------------------------------------------------------
     # Worker processes and their pipes
     # ------------------------------------------------------------------
     def _spawn(self, shard: int, epoch: int) -> _Worker:
-        if self._start_method == "forkserver":
-            start_worker_factory()
-        parent_end, child_end = self._ctx.Pipe()
-        proc = self._ctx.Process(
+        ctx = start_worker_factory()
+        parent_end, child_end = ctx.Pipe()
+        proc = ctx.Process(
             target=_worker_main,
-            args=(child_end, *self._worker_args),
+            args=(child_end, self.snapshot, self.cache_capacity, self.obs.enabled),
             name=f"repro-shard-{shard}",
             daemon=True,
         )
@@ -923,9 +883,7 @@ class ShardedQueryService:
                          partial(self._answer, [req]))
                     )
                 else:
-                    answers = self._local[shard].query_many(
-                        chunk_pairs, list(key), **kw
-                    )
+                    answers = self._local.query_many(chunk_pairs, list(key), **kw)
                     for qi, ans in zip(chunk, answers):
                         results[qi] = ans
         if posts:
@@ -1058,10 +1016,10 @@ class ShardedQueryService:
         """Every shard's cache dump (:func:`_cache_dump`), in shard order.
 
         With workers this is one blocking round trip to each; local
-        mode reads the in-process caches directly.
+        mode reads its one in-process cache directly.
         """
         if self._workers is None:
-            return [_cache_dump(cache) for cache in self._local]
+            return [_cache_dump(self._local)]
         sweep: list = [None] * self.num_shards
         errors: list = []
 
@@ -1120,17 +1078,24 @@ class ShardedQueryService:
         return ServiceStats.from_dump(dump, self.mode, self.num_shards), dump
 
     def close(self) -> None:
-        """Stop every worker (idempotent).
+        """Stop every worker, then delete the private snapshot
+        (idempotent).
 
-        Closing the pipes is not enough: a forked worker inherits the
-        other shards' pipe ends, so it may never read EOF.  Every worker
-        gets SIGTERM and, after :data:`_STOP_GRACE_S`, SIGKILL — so
-        ``close()`` returns in bounded time with every worker process
-        (replaced ones included) reaped.  Messages still in flight, and
-        requests still waiting, fail with :class:`ShardLostError`.
+        Closing the pipes is not enough: a stopped or hung worker never
+        reads its EOF.  Every worker gets SIGTERM and, after
+        :data:`_STOP_GRACE_S`, SIGKILL — so ``close()`` returns in
+        bounded time with every worker process (replaced ones included)
+        reaped.  Messages still in flight, and requests still waiting,
+        fail with :class:`ShardLostError`.
         """
-        if self._workers is None:
-            return
+        if self._workers is not None:
+            self._stop_workers()
+        if self._private is not None:
+            shutil.rmtree(self._private, ignore_errors=True)
+            self._private = None
+
+    def _stop_workers(self) -> None:
+        """SIGTERM, then SIGKILL, every worker; fail what it had."""
         workers, self._workers = self._workers, None
         procs, self._dead = self._dead, []
         for w in workers:

@@ -1,7 +1,7 @@
 """Chaos tests: SIGKILL shard workers, feed reloads bad snapshots.
 
 The promised failure domain (see ``repro/server/server.py``): killing
-one spawn-mode shard worker mid-load, with chunks in flight on it,
+one shard worker mid-load, with chunks in flight on it,
 
 * errors exactly the requests in flight on that shard — as clean
   ``SHARD_LOST`` error frames as soon as the server reads the worker's
@@ -12,9 +12,10 @@ one spawn-mode shard worker mid-load, with chunks in flight on it,
   in-process ``query_many``;
 * leaks nothing: every worker process is gone once the server closes.
 
-Killing a worker while it is idle costs no request anything: the
-server respawns it at once, and the next chunk for that shard is
-answered well inside the chunk timeout.  A request deadline shorter
+Killing a worker while it is idle costs no request anything, whether
+the server maps a snapshot file or a private snapshot of a live
+backend: the server respawns it at once, and the next chunk for that
+shard is answered well inside the chunk timeout.  A request deadline shorter
 than the chunk timeout answers a stopped shard's request with one
 ``DEADLINE`` frame and leaves the worker alone, so once it resumes the
 same request is answered again.  A reload to a missing or corrupt
@@ -41,8 +42,8 @@ from tests.server_util import ServerThread
 pytestmark = pytest.mark.network
 
 #: server-side chunk timeout: how long a lost chunk takes to surface as
-#: SHARD_LOST.  Long enough for a respawned spawn worker to initialize
-#: (interpreter + numpy + snapshot open), short enough to keep the test
+#: SHARD_LOST.  Long enough for a respawned worker to initialize (fork
+#: from the factory + snapshot open), short enough to keep the test
 #: brisk.
 CHUNK_TIMEOUT_S = 5.0
 
@@ -211,38 +212,40 @@ def test_idle_worker_kill_heals_without_a_timeout(chaos_env):
     pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(16)]
     expected = scheme.query_many(pairs, F0)
 
-    with ServerThread(
-        snapshot=snap,
-        num_shards=2,
-        chunk_timeout=CHUNK_TIMEOUT_S,
-        deadline_s=60.0,
-        hot_key_share=None,
-    ) as harness:
-        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
-            # shard 0's worker is up, has answered, and now sits idle
-            assert client.connectivity(pairs, F0) == expected
-            victim = harness.server.worker_pids()[0]
-            os.kill(victim, signal.SIGKILL)
+    # the snapshot file, then a private snapshot of the live backend
+    for source in ({"snapshot": snap}, {"backend": scheme}):
+        with ServerThread(
+            **source,
+            num_shards=2,
+            chunk_timeout=CHUNK_TIMEOUT_S,
+            deadline_s=60.0,
+            hot_key_share=None,
+        ) as harness:
+            with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+                # shard 0's worker is up, has answered, and now sits idle
+                assert client.connectivity(pairs, F0) == expected
+                victim = harness.server.worker_pids()[0]
+                os.kill(victim, signal.SIGKILL)
 
-            # no request is in flight: the server notices the death on
-            # its own and respawns the worker
-            deadline = time.monotonic() + 30
-            while victim in harness.server.worker_pids():
-                assert time.monotonic() < deadline, "victim never replaced"
-                time.sleep(0.02)
-            pids = harness.server.worker_pids()
-            assert len(pids) == 2 and all(_alive(p) for p in pids)
+                # no request is in flight: the server notices the death
+                # on its own and respawns the worker
+                deadline = time.monotonic() + 30
+                while victim in harness.server.worker_pids():
+                    assert time.monotonic() < deadline, "victim never replaced"
+                    time.sleep(0.02)
+                pids = harness.server.worker_pids()
+                assert len(pids) == 2 and all(_alive(p) for p in pids)
 
-            t0 = time.monotonic()
-            answers = client.connectivity(pairs, F0)
-            elapsed = time.monotonic() - t0
-            stats = client.stats()
-        assert answers == expected
-        # served by the fresh worker (its start-up included), not
-        # rescued by a timeout
-        assert elapsed < 0.6 * CHUNK_TIMEOUT_S, f"answer took {elapsed:.2f}s"
-        assert stats["server"]["errors"] == {}
-        assert stats["service"]["pool_restarts"] == 1
+                t0 = time.monotonic()
+                answers = client.connectivity(pairs, F0)
+                elapsed = time.monotonic() - t0
+                stats = client.stats()
+            assert answers == expected
+            # served by the fresh worker (its start-up included), not
+            # rescued by a timeout
+            assert elapsed < 0.6 * CHUNK_TIMEOUT_S, f"answer took {elapsed:.2f}s"
+            assert stats["server"]["errors"] == {}
+            assert stats["service"]["pool_restarts"] == 1
 
 
 def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
@@ -260,8 +263,8 @@ def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
         hot_key_share=None,
     ) as harness:
         with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
-            # a spawn worker may take longer than the deadline to start:
-            # warm shard 0 up first
+            # a worker may take longer than the deadline to start: warm
+            # shard 0 up first
             deadline = time.monotonic() + 30
             while True:
                 try:

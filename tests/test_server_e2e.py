@@ -5,8 +5,9 @@ wire — connectivity (succinct paths included), distance estimates,
 route results (trace + full telemetry) — compares equal (``==``) to
 the in-process ``query_many`` / ``route_many`` answer, across the five
 generator families, for both a fresh-built backend object and a
-snapshot-restored one, served in process and by spawn shard workers
-(whose answers cross a pipe as encoded reply items).  The verdict-only
+snapshot-restored one, served in process and by shard workers forked
+from the worker factory (whose answers cross a pipe as encoded reply
+items).  The verdict-only
 connectivity backends (forest, cycle-space, the facade) are held to
 the same bar.
 
@@ -57,7 +58,7 @@ def _graph(name):
 
 def _servings(obj, snap):
     """The object and its restored snapshot in process, then the
-    snapshot behind two spawn shard workers."""
+    snapshot behind two shard workers."""
     return ({"backend": obj}, {"snapshot": snap}, {"snapshot": snap, "num_shards": 2})
 
 
@@ -134,7 +135,8 @@ VERDICT_BACKENDS = [
 def test_verdict_backends_bit_identical(name, tmp_path):
     """Forest, cycle-space and facade artifacts answer CONNECTIVITY
     frames — ``want_path`` is only asked of the sketch scheme — in
-    process, behind fork workers and behind spawn workers."""
+    process, behind workers over a private snapshot of the object and
+    behind workers over its saved snapshot."""
     obj = dict(VERDICT_BACKENDS)[name]()
     pairs, faults = _stream(obj.graph, 16, seed=39)
     expected = obj.query_many(pairs, faults)

@@ -198,7 +198,7 @@ def test_local_service_orders_and_bounds_chunks():
 # read).  The tests below keep the names of the AsyncQueryCoalescer
 # tests they grew from and pin the same behaviours on ``submit``.
 def _coalescing_service(scheme, **kw):
-    """Fork workers (they inherit the scheme) with no hot-key rotation."""
+    """Worker shards (over a private snapshot) with no hot-key rotation."""
     return ShardedQueryService(scheme, num_shards=2, hot_key_share=None, **kw)
 
 
@@ -399,7 +399,7 @@ def test_sharded_service_equals_single_process():
     pairs, per = _repeated_fault_stream(graph, 80, 6, 5, seed=37)
     cold = scheme.query_many(pairs, per)  # succinct paths included
     with ShardedQueryService(scheme, num_shards=2, max_chunk=16) as svc:
-        assert svc.mode == "fork"
+        assert svc.mode == "forkserver"
         assert svc.query_many(pairs, per) == cold
         stats = svc.stats()
         assert stats.queries == 80
@@ -442,9 +442,9 @@ def test_sharded_service_accepts_facades():
     pairs, per = _repeated_fault_stream(graph, 20, 2, 2, seed=18)
     cold = dist.query_many(pairs, per)
     with ShardedQueryService(dist, num_shards=2) as svc:
-        # the facade hides its instances behind .impl; the pre-fork
-        # warm-up must still reach them (workers inherit built stores)
-        assert dist.impl.instances  # sanity: there is something to warm
+        # the facade hides its instances behind .impl; its private
+        # snapshot must still carry them (workers restore built stores)
+        assert dist.impl.instances  # sanity: there is something to carry
         assert svc.query_many(pairs, per) == cold
 
 
@@ -541,7 +541,7 @@ def test_hot_fault_set_replicates_across_shards():
     hot = sorted(rnd.sample(range(graph.m), 2))
     cold = sorted(rnd.sample(range(graph.m), 3))
     svc = ShardedQueryService(
-        scheme, num_shards=3, max_chunk=16, mp_context="none",
+        scheme, num_shards=3, max_chunk=16,
         hot_key_share=0.6, hot_key_min_queries=32,
     )
     try:
@@ -567,7 +567,7 @@ def test_hot_key_replication_disabled():
     graph = generators.grid_graph(4, 4)
     scheme = SketchConnectivityScheme(graph, seed=69)
     svc = ShardedQueryService(
-        scheme, num_shards=3, max_chunk=8, mp_context="none",
+        scheme, num_shards=3, max_chunk=8,
         hot_key_share=None,
     )
     try:
@@ -582,13 +582,7 @@ def test_hot_key_replication_disabled():
         svc.close()
 
 
-def test_hot_key_replication_fork_mode_identical_answers():
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        pytest.skip("fork unavailable")
+def test_hot_key_replication_worker_shards_identical_answers():
     graph = generators.random_connected_graph(40, extra_edges=60, seed=70)
     scheme = SketchConnectivityScheme(graph, seed=71)
     rnd = random.Random(72)
@@ -606,8 +600,8 @@ def test_hot_key_replication_fork_mode_identical_answers():
 
 
 # ----------------------------------------------------------------------
-# PR-5 satellites: discovery-order cache accounting, cache sizes in
-# ServiceStats, and the spawn-mode (snapshot-backed) build/serve split.
+# Discovery-order cache accounting, cache sizes in ServiceStats, and the
+# snapshot-backed build/serve split.
 # ----------------------------------------------------------------------
 def test_presentation_cache_eviction_and_stats_accounting():
     """Hit/miss/eviction counters under discovery-order keys.
@@ -668,20 +662,21 @@ def test_service_stats_expose_cache_entries():
     graph = generators.random_connected_graph(40, extra_edges=60, seed=87)
     scheme = SketchConnectivityScheme(graph, seed=88)
     pairs, per = _repeated_fault_stream(graph, 40, 4, 4, seed=89)
-    with ShardedQueryService(scheme, num_shards=2, mp_context="none") as svc:
+    with ShardedQueryService(scheme, num_shards=0) as svc:
         svc.query_many(pairs, per)
         stats = svc.stats()
         assert stats.cache_entries == 4  # one live partition per fault set
         snap = stats.snapshot()
         assert snap["cache"]["entries"] == 4
-    with ShardedQueryService(scheme, num_shards=2) as svc:  # fork mode
+    with ShardedQueryService(scheme, num_shards=2) as svc:  # worker shards
         svc.query_many(pairs, per)
         assert svc.stats().cache_entries == 4
 
 
-def test_spawn_mode_sharded_service_equals_single_process(tmp_path):
-    """The build/serve split: spawn-mode shards answer off a snapshot
-    file bit-identically to the in-process scheme — no fork anywhere."""
+def test_snapshot_sharded_service_equals_single_process(tmp_path):
+    """The build/serve split: shards forked from the worker factory
+    answer off a snapshot file bit-identically to the in-process scheme,
+    and the parent never loads it."""
     from repro.store import save_snapshot
 
     graph = generators.random_connected_graph(72, extra_edges=100, seed=21)
@@ -693,7 +688,7 @@ def test_spawn_mode_sharded_service_equals_single_process(tmp_path):
     with ShardedQueryService.from_snapshot(
         snap_path, num_shards=2, max_chunk=16
     ) as svc:
-        assert svc.mode == "spawn"
+        assert svc.mode == "forkserver" and svc.scheme is None
         assert svc.query_many(pairs, per) == cold
         stats = svc.stats()
         assert stats.queries == 60
@@ -704,19 +699,7 @@ def test_spawn_mode_sharded_service_equals_single_process(tmp_path):
         assert svc.stats().cache_misses == 5
 
 
-def test_spawn_without_snapshot_degrades_to_local():
-    """A spawned worker cannot inherit the scheme; without a snapshot
-    the service falls back to in-process shards (same answers)."""
-    graph = generators.random_connected_graph(40, extra_edges=60, seed=92)
-    scheme = SketchConnectivityScheme(graph, seed=93)
-    pairs, per = _repeated_fault_stream(graph, 30, 3, 3, seed=94)
-    cold = scheme.query_many(pairs, per)
-    with ShardedQueryService(scheme, num_shards=2, mp_context="spawn") as svc:
-        assert svc.mode == "local"
-        assert svc.query_many(pairs, per) == cold
-
-
-def test_spawn_mode_bad_snapshot_fails_fast(tmp_path):
+def test_bad_snapshot_fails_fast(tmp_path):
     """A missing or corrupt snapshot must raise in the parent, not die
     silently in worker initializers and hang the first query."""
     from repro.store import SnapshotError

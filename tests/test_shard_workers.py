@@ -4,9 +4,9 @@
 process per shard and talks to it over one duplex pipe, with no helper
 thread in the parent.  These tests pin what that design promises to a
 blocking caller (``tests/test_server_chaos.py`` covers the event-loop
-side through the socket server):
+side through the socket server, ``tests/test_worker_factory.py`` how
+workers start and that none outlives ``close()``):
 
-* no thread is started, and ``close()`` leaves no worker alive;
 * a worker killed while idle is replaced by the next send — the chunk
   is answered, not lost;
 * a hung worker costs one ``ShardLostError`` after ``chunk_timeout``,
@@ -30,7 +30,6 @@ import asyncio
 import os
 import random
 import signal
-import threading
 import time
 
 import pytest
@@ -39,7 +38,6 @@ from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.serving import ShardedQueryService, canonical_fault_key, shard_of
 from repro.serving.shards import ShardLostError
-from repro.store import save_snapshot
 from tests.server_util import submit_future
 
 # worker processes on pipes: arm the conftest watchdog, so a wedged
@@ -80,25 +78,6 @@ def _faults_on_shard(scheme, shard: int, num_shards: int = 2, seed: int = 3):
 def _pairs(scheme, count: int = 12, seed: int = 4):
     rnd = random.Random(seed)
     return [tuple(rnd.sample(range(scheme.graph.n), 2)) for _ in range(count)]
-
-
-def test_spawn_workers_start_no_threads_and_outlive_nothing(scheme, tmp_path):
-    snap = tmp_path / "scheme.snap"
-    save_snapshot(snap, scheme)
-    pairs = _pairs(scheme)
-    per = [_faults_on_shard(scheme, i % 2, seed=i) for i in range(len(pairs))]
-    threads = threading.active_count()
-    svc = ShardedQueryService.from_snapshot(snap, num_shards=2)
-    try:
-        assert svc.mode == "spawn"
-        assert svc.query_many(pairs, per) == scheme.query_many(pairs, per)
-        assert svc.stats().queries == len(pairs)
-        assert threading.active_count() == threads
-        pids = svc.worker_pids()
-        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
-    finally:
-        svc.close()
-    assert not [pid for pid in pids if _alive(pid)]
 
 
 def test_idle_kill_is_healed_by_the_next_send(scheme):

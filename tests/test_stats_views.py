@@ -53,8 +53,11 @@ def test_stats_classes_are_frozen_views_of_a_dump(grid_scheme):
 
 
 def test_an_idle_service_dump_carries_every_name(grid_scheme):
-    with ShardedQueryService(grid_scheme, num_shards=2, mp_context="none") as svc:
+    with ShardedQueryService(grid_scheme, num_shards=2) as svc:
         stats, dump = asyncio.run(svc.astats_bundle())
+    # each worker counted its own start, forked from the preloaded factory
+    assert dump["counters"].pop("worker.starts") == 2
+    assert dump["counters"].pop("worker.preloaded_starts") == 2
     counters = {
         "service.queries", "service.chunks", "service.pool_restarts",
         "service.replicated_chunks", "cache.evictions",

@@ -1,14 +1,19 @@
 """The preloaded worker factory and the light front door.
 
-A snapshot-backed :class:`~repro.server.LabelServer` forks its shard
-workers from one forkserver that imported the worker's modules once
-(:func:`~repro.serving.shards.start_worker_factory`).  These tests pin
-what that promises:
+Every shard worker forks from one forkserver that imported the worker's
+modules once (:func:`~repro.serving.shards.start_worker_factory`) and
+opens a snapshot: the served file, or a private temporary snapshot of a
+live scheme.  These tests pin what that promises:
 
 * ``import repro.server.server`` loads neither numpy nor a decoder, and
   the lazy package exports still resolve to their defining objects;
 * forkserver workers start no thread in the parent, answer bit for bit
   like the scheme, and none outlives ``close()``;
+* no worker is a fork of its caller, a live scheme's service included:
+  its workers, respawns too, open a private snapshot that exists while
+  the service serves and is gone after ``close()`` (for ``repro.cli
+  serve``, after SIGTERM); an object the store cannot save is refused
+  with ``SnapshotError`` and leaves no file;
 * a program that finds ``repro`` only through an entry it put on
   ``sys.path`` itself — no ``PYTHONPATH`` — still gets workers that
   start with the store imported, respawns included;
@@ -24,6 +29,7 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from importlib import import_module
@@ -35,9 +41,11 @@ import repro
 import repro.core
 from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
-from repro.server import QueryClient
-from repro.serving import ShardedQueryService
-from repro.store import save_snapshot
+from repro.server import QueryClient, ServerError
+from repro.serving import ShardedQueryService, canonical_fault_key, shard_of
+from repro.serving.shards import start_worker_factory
+from repro.store import SnapshotError, save_snapshot
+from tests.server_util import ServerThread
 
 pytestmark = pytest.mark.network
 
@@ -86,6 +94,24 @@ def _alive(pid: int) -> bool:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def _wait_dead(pid: int, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while _alive(pid):
+        assert time.monotonic() < deadline, f"pid {pid} never died"
+        time.sleep(0.01)
+
+
+def _parent_pid(pid: int) -> int:
+    with open(f"/proc/{pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[1])
+
+
+def _maps(pid: int, path) -> bool:
+    """Whether process ``pid`` has ``path`` mapped."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return str(path) in fh.read()
 
 
 def _descendants(root: int) -> set[int]:
@@ -217,9 +243,7 @@ def test_forkserver_workers_start_no_threads_and_outlive_nothing(scheme, snap):
     pairs = _pairs(scheme)
     per = _faults(scheme)
     threads = threading.active_count()
-    svc = ShardedQueryService.from_snapshot(
-        snap, num_shards=2, mp_context="forkserver"
-    )
+    svc = ShardedQueryService.from_snapshot(snap, num_shards=2)
     try:
         assert svc.mode == "forkserver"
         got = svc.query_many(pairs, per, want_path=True)
@@ -231,6 +255,109 @@ def test_forkserver_workers_start_no_threads_and_outlive_nothing(scheme, snap):
     finally:
         svc.close()
     assert not [pid for pid in pids if _alive(pid)]
+
+
+@pytest.fixture
+def private_dir(tmp_path, monkeypatch):
+    """Where a live scheme's service saves its private snapshot.  The
+    factory starts first, so its own socket stays where it was."""
+    start_worker_factory()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+def _private_snapshots(directory) -> list:
+    return sorted(directory.glob("repro-shards-*"))
+
+
+def test_no_worker_is_a_fork_of_its_caller(scheme, private_dir):
+    pairs = _pairs(scheme)
+    faults = _faults(scheme)[0]
+    home = shard_of(canonical_fault_key(faults), 2)
+    expected = scheme.query_many(pairs, faults, want_path=True)
+    with ShardedQueryService(scheme, num_shards=2, hot_key_share=None) as svc:
+        assert svc.mode == "forkserver"
+        pids = svc.worker_pids()
+        assert all(_parent_pid(pid) != os.getpid() for pid in pids)
+        (private,) = _private_snapshots(private_dir)
+        assert svc.snapshot == str(private / "scheme.snap")
+        assert svc.query_many(pairs, faults, want_path=True) == expected
+        # an idle kill: the respawn reopens the private snapshot
+        os.kill(pids[home], signal.SIGKILL)
+        _wait_dead(pids[home])
+        assert svc.query_many(pairs, faults, want_path=True) == expected
+        fresh = svc.worker_pids()[home]
+        assert fresh != pids[home] and _parent_pid(fresh) != os.getpid()
+        assert _maps(fresh, private)
+        assert svc.stats().pool_restarts == 1
+    assert _private_snapshots(private_dir) == []
+
+
+def test_no_server_worker_is_a_fork_of_its_caller(scheme, private_dir):
+    pairs = _pairs(scheme)
+    faults = _faults(scheme)[0]
+    home = shard_of(canonical_fault_key(faults), 2)
+    expected = scheme.query_many(pairs, faults, want_path=True)
+    with ServerThread(
+        scheme, num_shards=2, hot_key_share=None, deadline_s=60.0
+    ) as harness:
+        pids = harness.server.worker_pids()
+        assert all(_parent_pid(pid) != os.getpid() for pid in pids)
+        (private,) = _private_snapshots(private_dir)
+        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+            assert client.connectivity(pairs, faults, want_path=True) == expected
+            os.kill(pids[home], signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while pids[home] in harness.server.worker_pids():
+                assert time.monotonic() < deadline, "the worker was never replaced"
+                time.sleep(0.01)
+            assert client.connectivity(pairs, faults, want_path=True) == expected
+            fresh = harness.server.worker_pids()[home]
+            with pytest.raises(ServerError, match="no snapshot path"):
+                client.reload()  # the private snapshot is no reload source
+        assert _parent_pid(fresh) != os.getpid() and _maps(fresh, private)
+    assert _private_snapshots(private_dir) == []
+
+
+class _Unsaveable:
+    """A scheme the store has no snapshot handler for."""
+
+    def __init__(self, scheme):
+        self.decode_partition = scheme.decode_partition
+
+
+def test_an_unsaveable_scheme_is_refused_workers_and_served_locally(
+    scheme, private_dir
+):
+    pairs = _pairs(scheme)
+    faults = _faults(scheme)[0]
+    obj = _Unsaveable(scheme)
+    with pytest.raises(SnapshotError):
+        ShardedQueryService(obj, num_shards=2)
+    assert _private_snapshots(private_dir) == []
+    with ShardedQueryService(obj, num_shards=0) as svc:
+        assert svc.mode == "local"
+        assert svc.query_many(pairs, faults) == scheme.query_many(pairs, faults)
+
+
+def test_sigterm_stops_a_built_artifact_server_and_deletes_its_snapshot(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--n", "48",
+         "--shards", "2", "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert "(2 shards)" in proc.stdout.readline()
+        assert len(_private_snapshots(tmp_path)) == 1
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:  # pragma: no cover - wedged
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert _private_snapshots(tmp_path) == []
 
 
 def test_workers_fork_preloaded_without_pythonpath(scheme, snap, tmp_path):
