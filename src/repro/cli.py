@@ -584,6 +584,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"{server.get('connections_open', 0)} conns open, "
           f"{server.get('protocol_errors', 0)} protocol errors, "
           f"{server.get('reloads', 0)} reloads")
+    if server.get("view_entries") or server.get("view_hits"):
+        print(f"  front door           : {server['view_entries']} partition "
+              f"views, {server['view_hits']} hits answered on the loop")
     if service:
         depths = ", ".join(str(d) for d in stats.queue_depth) or "-"
         print(f"  shards ({service.get('mode', '?')}): "

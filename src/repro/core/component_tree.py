@@ -139,6 +139,22 @@ class ComponentForest:
             return u
         return self.components[u].parent
 
+    def locate_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(values, loc)`` with ``locate(anc) == loc[bisect_right(values,
+        anc[0])]`` for every vertex label: the sorted endpoint times of the
+        non-root representatives, and the component before, between and
+        after them.  Plain tuples, for views that answer without this
+        class (:meth:`repro.core.sketch_scheme.FaultSetPartition.view`).
+        """
+        # DFS times run 1..2n, inside the root's virtual interval: its two
+        # ends are the first and the last tuple and bound every time.
+        inner = self._tuples[1:-1]
+        values = tuple(t for t, _, _ in inner)
+        loc = (0,) + tuple(
+            u if b == 1 else self.components[u].parent for _, u, b in inner
+        )
+        return values, loc
+
     def locate_linear(self, anc: AncLabel) -> int:
         """O(f) reference location: deepest representative ancestor."""
         best = 0

@@ -34,7 +34,7 @@ extended identifiers (same ``S_ID``) and differ only in the sketch seeds
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -45,6 +45,7 @@ from repro._util.build_pool import BuildPool, split_ranges
 from repro.obs import PhaseTimer
 from repro.core._batch import check_fault_ids, check_vertex_ids, normalize_faults
 from repro.core.component_tree import ComponentForest, orient_tree_edge
+from repro.core.path_chain import chain_segments
 from repro.core.path_description import PathSegment, SuccinctPath
 from repro.graph.ancestry import AncestryLabeling, AncLabel, stitched_intervals
 from repro.graph.graph import Graph
@@ -323,11 +324,27 @@ class FaultSetPartition:
                 t_lab = _PathEndpoint(
                     vt, None if tlabel_of is None else tlabel_of(t)
                 )
-                path = scheme._build_path(
-                    s_lab, t_lab, forest, merges, cs_loc, ct_loc
-                )
+                path = scheme._build_path(s_lab, t_lab, merges, cs_loc, ct_loc)
             out.append(Result(connected=True, path=path, phases_used=phases))
         return out
+
+    def view(self) -> dict:
+        """This partition as plain ints and tuples: the numpy-free view
+        the serving tier caches and answers from
+        (:mod:`repro.serving.views`), for the canonical fault order.
+
+        Maps each G-component with tree faults to ``(values, loc,
+        group, phases, merges)``: the component forest's locate table
+        (a vertex with DFS entry time ``tin`` lies in ``T \\ F``
+        component ``loc[bisect_right(values, tin)]``), each component's
+        union-find root, the phase count, and the merges as
+        :mod:`repro.core.path_chain` tuples.
+        """
+        view = {}
+        for c, (forest, uf, merges, phases) in self.entries.items():
+            values, loc = forest.locate_table()
+            view[c] = (values, loc, uf.roots(), phases, _plain_merges(merges))
+        return view
 
 
 class _PathEndpoint(NamedTuple):
@@ -335,6 +352,15 @@ class _PathEndpoint(NamedTuple):
 
     vid: int
     tlabel: Optional[int]
+
+
+def _plain_merges(merges) -> tuple:
+    """``(DecodedEid, cu, cv)`` merges as :mod:`repro.core.path_chain`
+    tuples."""
+    return tuple(
+        (cu, cv, d.u, d.v, d.port_u, d.port_v, d.tlabel_u, d.tlabel_v, d.raw)
+        for d, cu, cv in merges
+    )
 
 
 #: most uint64 words one :meth:`SketchConnectivityScheme._empty_tails`
@@ -375,6 +401,10 @@ class _SplitForest:
 
     def locate(self, anc) -> int:
         return 1 if self.tin <= anc[0] and anc[1] <= self.tout else 0
+
+    def locate_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """See :meth:`ComponentForest.locate_table`."""
+        return (self.tin, self.tout), (0, 1, 0)
 
 
 @dataclass
@@ -634,6 +664,7 @@ class SketchConnectivityScheme:
         # per-vertex/per-edge label arrays the batched decoder reads
         # instead of materializing per-vertex label objects.
         self._qstore: Optional[_PackedQueryStore] = None
+        self._view_columns: Optional[tuple] = None
         self._vid_to_vertex: Optional[dict[int, int]] = None
         self._eid_to_edge: Optional[dict[int, int]] = None
         self._edge_decoded: dict[int, DecodedEid] = {}
@@ -914,6 +945,26 @@ class SketchConnectivityScheme:
         )
         return self._qstore
 
+    def view_columns(self) -> tuple:
+        """The per-vertex columns a partition :meth:`~FaultSetPartition.view`
+        is read against, numpy-free and built once: ``(comp, tin, vid,
+        tlabel)`` with the component and DFS entry time of every vertex
+        as ``array("q")``, ``vid`` likewise or ``None`` for identity ids,
+        and ``tlabel`` the tree-routing labels or ``None`` without
+        routing augmentation."""
+        if self._view_columns is None:
+            st = self._packed_store()
+            routing = self._routing
+            self._view_columns = (
+                array("q", st.comp_v),
+                array("q", st.tin),
+                None if self._identity_ids else array("q", st.vid),
+                None
+                if routing is None
+                else [routing.tlabel_of(v) for v in range(self.graph.n)],
+            )
+        return self._view_columns
+
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.store)
     # ------------------------------------------------------------------
@@ -1148,7 +1199,7 @@ class SketchConnectivityScheme:
             return SkDecodeResult(connected=False, phases_used=phases)
         path = None
         if want_path:
-            path = self._build_path(s_label, t_label, forest, merges, cs, ct)
+            path = self._build_path(s_label, t_label, merges, cs, ct)
         return SkDecodeResult(connected=True, path=path, phases_used=phases)
 
     def _simulate_boruvka(
@@ -1345,96 +1396,19 @@ class SketchConnectivityScheme:
     def _build_path(
         s_label: SkVertexLabel,
         t_label: SkVertexLabel,
-        forest: ComponentForest,
         merges: Sequence[tuple[DecodedEid, int, int]],
         cs: int,
         ct: int,
     ) -> SuccinctPath:
-        """Assemble the alternating 0/1-labeled path from the merge forest."""
-        if cs == ct:
-            segment = PathSegment(
-                kind="tree",
-                x=s_label.vid,
-                y=t_label.vid,
-                tlabel_x=s_label.tlabel,
-                tlabel_y=t_label.tlabel,
-            )
-            return SuccinctPath(s_label.vid, t_label.vid, (segment,))
-        adjacency: dict[int, list[tuple[int, DecodedEid]]] = {}
-        for d, cu, cv in merges:
-            adjacency.setdefault(cu, []).append((cv, d))
-            adjacency.setdefault(cv, []).append((cu, d))
-        # BFS over the merge forest from cs to ct.
-        prev: dict[int, tuple[int, DecodedEid]] = {}
-        queue = deque([cs])
-        visited = {cs}
-        while queue:
-            c = queue.popleft()
-            if c == ct:
-                break
-            for nxt, d in adjacency.get(c, ()):  # noqa: B905
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                prev[nxt] = (c, d)
-                queue.append(nxt)
-        if ct not in visited:
-            raise RuntimeError("merge forest inconsistent with connectivity verdict")
-        hops: list[tuple[int, int, DecodedEid]] = []  # (from_comp, to_comp, edge)
-        c = ct
-        while c != cs:
-            pc, d = prev[c]
-            hops.append((pc, c, d))
-            c = pc
-        hops.reverse()
-        segments: list[PathSegment] = []
-        current_vertex = s_label.vid
-        current_tlabel = s_label.tlabel
-        for from_comp, to_comp, d in hops:
-            # Orient the recovery edge: x in from_comp, y in to_comp.
-            if forest.locate(d.anc_u) == from_comp:
-                x, y = d.u, d.v
-                anc_x, port_x, tl_x = d.anc_u, d.port_u, d.tlabel_u
-                port_y, tl_y = d.port_v, d.tlabel_v
-            else:
-                x, y = d.v, d.u
-                anc_x, port_x, tl_x = d.anc_v, d.port_v, d.tlabel_v
-                port_y, tl_y = d.port_u, d.tlabel_u
-            if current_vertex != x:
-                segments.append(
-                    PathSegment(
-                        kind="tree",
-                        x=current_vertex,
-                        y=x,
-                        tlabel_x=current_tlabel,
-                        tlabel_y=tl_x,
-                    )
-                )
-            segments.append(
-                PathSegment(
-                    kind="edge",
-                    x=x,
-                    y=y,
-                    port_x=port_x,
-                    port_y=port_y,
-                    tlabel_x=tl_x,
-                    tlabel_y=tl_y,
-                    eid=d.raw,
-                )
-            )
-            current_vertex = y
-            current_tlabel = tl_y
-        if current_vertex != t_label.vid:
-            segments.append(
-                PathSegment(
-                    kind="tree",
-                    x=current_vertex,
-                    y=t_label.vid,
-                    tlabel_x=current_tlabel,
-                    tlabel_y=t_label.tlabel,
-                )
-            )
-        return SuccinctPath(s_label.vid, t_label.vid, tuple(segments))
+        """Assemble the alternating 0/1-labeled path from the merge forest
+        (:func:`repro.core.path_chain.chain_segments`)."""
+        segments = chain_segments(
+            s_label.vid, s_label.tlabel, t_label.vid, t_label.tlabel,
+            _plain_merges(merges), cs, ct,
+        )
+        return SuccinctPath(
+            s_label.vid, t_label.vid, tuple(PathSegment(*seg) for seg in segments)
+        )
 
     # ------------------------------------------------------------------
     # Batched decoding (the packed-store query engine)
@@ -1586,9 +1560,7 @@ class SketchConnectivityScheme:
                 t_lab = _PathEndpoint(
                     vid[t], None if tlabel_of is None else tlabel_of(t)
                 )
-                path = self._build_path(
-                    s_lab, t_lab, forest, merges, cs_loc, ct_loc
-                )
+                path = self._build_path(s_lab, t_lab, merges, cs_loc, ct_loc)
             results[qi] = Result(connected=True, path=path, phases_used=phases)
         return results  # type: ignore[return-value]
 

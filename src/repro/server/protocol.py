@@ -40,8 +40,11 @@ Replies are written where the answers are made.  The answer writers
 (:func:`write_sk_results`, :func:`write_bools`, :func:`write_floats`)
 turn a chunk of native answers into a list of encoded items, one
 ``bytes`` per answer, each equal to :func:`encode_value` of the
-answer's wire value.  Shard workers run them and send the items over
-their pipe; the server wraps the reply's items in
+answer's wire value; :func:`write_sk_item` writes one connectivity
+answer from plain fields, for the sketch view writer
+(:mod:`repro.serving.views`) that shard workers and the server's cache
+hits both run.  Workers send the items over their pipe; the server
+wraps the reply's items in
 :class:`EncodedItems`, which :func:`encode_frame` splices verbatim, so
 the frame is byte-identical to encoding the value list and the front
 door never builds an answer object or a value tree.
@@ -523,43 +526,62 @@ def _put_int(out: bytearray, value: int) -> None:
         _write_varint(out, z)
 
 
+def write_sk_item(connected: bool, phases: int, path) -> bytes:
+    """``encode_value`` of one connectivity answer's wire value, written
+    without building the value tree: ``path`` is ``None`` or ``(s, t,
+    segments)``, each segment a tuple in
+    :class:`~repro.core.path_description.PathSegment` field order."""
+    out = bytearray(_TUPLE3)
+    out += _T_TRUE if connected else _T_FALSE
+    _put_int(out, phases)
+    if path is None:
+        out += _T_NONE
+        return bytes(out)
+    s, t, segments = path
+    out += _TUPLE3
+    _put_int(out, s)
+    _put_int(out, t)
+    out += _T_LIST
+    _write_varint(out, len(segments))
+    for kind, x, y, *rest in segments:
+        out += _TUPLE8
+        item = _KIND_ITEMS.get(kind)
+        out += encode_value(kind) if item is None else item
+        _put_int(out, x)
+        _put_int(out, y)
+        for value in rest:
+            if value is None:
+                out += _T_NONE
+            else:
+                _put_int(out, int(value))
+    return bytes(out)
+
+
 def write_sk_results(answers) -> list[bytes]:
     """Encoded reply items of ``SkDecodeResult`` answers.
 
-    Item ``i`` equals ``encode_value(sk_result_to_wire(answers[i]))``,
-    written straight from the dataclass fields without building the
-    value tree.  Shard workers call it on the answers of a chunk.
+    Item ``i`` equals ``encode_value(sk_result_to_wire(answers[i]))``.
+    The server answers from partition views instead
+    (:func:`repro.serving.views.write_items`); this is their reference.
     """
-    items = []
-    for a in answers:
-        out = bytearray(_TUPLE3)
-        out += _T_TRUE if a.connected else _T_FALSE
-        _put_int(out, int(a.phases_used))
-        path = a.path
-        if path is None:
-            out += _T_NONE
-        else:
-            out += _TUPLE3
-            _put_int(out, path.s)
-            _put_int(out, path.t)
-            segments = path.segments
-            out += _T_LIST
-            _write_varint(out, len(segments))
-            for seg in segments:
-                out += _TUPLE8
-                kind = _KIND_ITEMS.get(seg.kind)
-                out += encode_value(seg.kind) if kind is None else kind
-                _put_int(out, seg.x)
-                _put_int(out, seg.y)
-                for value in (
-                    seg.port_x, seg.port_y, seg.tlabel_x, seg.tlabel_y, seg.eid
-                ):
-                    if value is None:
-                        out += _T_NONE
-                    else:
-                        _put_int(out, int(value))
-        items.append(bytes(out))
-    return items
+    return [
+        write_sk_item(
+            a.connected,
+            int(a.phases_used),
+            None
+            if a.path is None
+            else (
+                a.path.s,
+                a.path.t,
+                [
+                    (seg.kind, seg.x, seg.y, seg.port_x, seg.port_y,
+                     seg.tlabel_x, seg.tlabel_y, seg.eid)
+                    for seg in a.path.segments
+                ],
+            ),
+        )
+        for a in answers
+    ]
 
 
 def write_bools(answers) -> list[bytes]:
@@ -650,5 +672,6 @@ __all__ = [
     "wire_to_sk_result",
     "write_bools",
     "write_floats",
+    "write_sk_item",
     "write_sk_results",
 ]

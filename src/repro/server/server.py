@@ -17,6 +17,11 @@ service speaking the :mod:`repro.server.protocol` frames:
   works go as one batch when its reply is read.  Workers reply with
   encoded v1 items, which the loop splices into the reply frame
   without decoding them;
+* **cache hits never leave the loop** — a sketch worker's reply also
+  carries the fault set's partition as a numpy-free view
+  (:mod:`repro.serving.views`), which the generation keeps; a later
+  request on that fault set is answered in its read callback by the
+  same writer the workers use, and wakes no worker;
 * **backpressure + deadlines** — a connection stops reading while
   ``max_inflight`` of its requests are unanswered or its transport is
   paused for writing (TCP then pushes back on the client), and every
@@ -66,11 +71,14 @@ from functools import partial
 from typing import Optional
 
 from repro.obs import MetricsRegistry, SlowQueryLog, Trace
+from repro.serving.partition_cache import canonical_fault_key
 from repro.serving.shards import (
+    ServiceStats,
     ShardedQueryService,
     ShardLostError,
     start_worker_factory,
 )
+from repro.serving.views import ViewCache, write_items
 from repro.server.protocol import (
     EncodedItems,
     ErrorCode,
@@ -84,14 +92,15 @@ from repro.server.protocol import (
     route_result_to_wire,
     write_bools,
     write_floats,
-    write_sk_results,
 )
 
 #: snapshot ``kind`` -> (the query frame a generation of that kind
 #: answers, the answer writer that encodes its replies).  Only the
-#: sketch scheme's answers carry paths, so only it is asked ``want_path``.
+#: sketch scheme's answers carry paths, so only it is asked
+#: ``want_path``; its writer answers off partition views, which the
+#: generation keeps to answer repeated fault sets on the loop.
 _KINDS = {
-    "sketch": (FrameType.CONNECTIVITY, write_sk_results),
+    "sketch": (FrameType.CONNECTIVITY, write_items),
     "forest": (FrameType.CONNECTIVITY, write_bools),
     "cycle_space": (FrameType.CONNECTIVITY, write_bools),
     "connectivity-facade": (FrameType.CONNECTIVITY, write_bools),
@@ -137,6 +146,8 @@ class ServerStats:
     errors: dict = field(default_factory=dict)  # ErrorCode name -> count
     reloads: int = 0
     protocol_errors: int = 0
+    view_hits: int = 0  # sketch requests answered off the front door's views
+    view_entries: int = 0  # partition views the current generation keeps
 
     @classmethod
     def from_dump(cls, dump: dict) -> "ServerStats":
@@ -152,6 +163,8 @@ class ServerStats:
             errors={k[len(errors):]: v for k, v in n.items() if k.startswith(errors)},
             reloads=n["server.reloads"],
             protocol_errors=n["server.protocol_errors"],
+            view_hits=n["cache.hits"],
+            view_entries=int(n["server.view_entries"]),
         )
 
     def snapshot(self) -> dict:
@@ -187,6 +200,8 @@ class _Generation:
         self.n = n
         self.m = m
         self.query_type, self.writer = _KINDS[kind]
+        #: a sketch generation's partition views (see :meth:`LabelServer._query`)
+        self.views: Optional[ViewCache] = None
         self.refs = 0
         self.retired = False
         self._drained: Optional[asyncio.Event] = None
@@ -284,6 +299,9 @@ class LabelServer:
         #: nothing is counted, and every stats view reads zero.
         self.metrics_enabled = metrics
         self.obs = MetricsRegistry(enabled=metrics)
+        #: sketch requests the front door answers off its views; misses
+        #: are counted by the cache that serves them
+        self._view_hits = self.obs.counter("cache.hits")
         #: every request is traced server-side (spans are a handful of
         #: tuple appends); traces crossing ``slow_threshold_s`` land
         #: here and are dumped through the STATS admin frame.
@@ -341,7 +359,10 @@ class LabelServer:
             chunk_timeout=self.chunk_timeout,
             metrics=self.metrics_enabled,
         )
-        return _Generation(kind, path, service, None, n, m)
+        gen = _Generation(kind, path, service, None, n, m)
+        if gen.writer is write_items:
+            gen.views = ViewCache(service.num_shards * self.cache_capacity)
+        return gen
 
     def _activate(self, gen: _Generation) -> _Generation:
         """Number a built generation and hand its shard pipes to the
@@ -500,8 +521,9 @@ class LabelServer:
         """Start answering one frame decoded by ``conn``'s read callback.
 
         Every request ends in exactly one :meth:`_finish`: its reply, or
-        its drop when the client goes away.  PING is answered here;
-        query frames go to the shard service or the blocking thread,
+        its drop when the client goes away.  PING and sketch cache hits
+        are answered here; other query frames go to the shard service or
+        the blocking thread,
         STATS and RELOAD to a task, and each of them but RELOAD gets a
         deadline timer.  Invalid frames are answered here too, with the
         ``ERROR`` frame of their exception (see :data:`_ERROR_CODES`).
@@ -547,9 +569,14 @@ class LabelServer:
             self._fail(req, exc)
 
     def _query(self, req: "_Request") -> None:
-        """A CONNECTIVITY or DISTANCE frame: validate it, then submit it
-        to the generation's shard service (local mode: run it on the
-        blocking thread)."""
+        """A CONNECTIVITY or DISTANCE frame: validate it, then answer it.
+
+        A sketch generation answers a fault set it keeps a partition
+        view of right here, on the loop: no worker, no thread, no
+        deadline timer.  Anything else goes to the generation's shard
+        service (local mode: to the blocking thread), and a sketch
+        answer brings back its view for the fault set's next requests.
+        """
         gen, frame = req.gen, req.frame
         payload = frame.payload
         if frame.type is FrameType.CONNECTIVITY:
@@ -577,16 +604,28 @@ class LabelServer:
                 f"answer {frame.type.name} queries"
             )
         self._validate(gen, pairs, faults)
-        kw = {"want_path": want_path} if gen.kind == "sketch" else {}
         self.obs.counter("server.queries_total").inc(len(pairs))
+        service, writer, views = gen.service, gen.writer, gen.views
+        kw = {}
+        if views is not None:
+            req.key = canonical_fault_key(faults)
+            view = views.get(req.key)
+            if view is not None:
+                self._view_hits.inc()
+                service.count_view_answer(len(pairs))
+                items = write_items(views.columns, view, pairs, want_path)
+                self._finish(req, reply_type, EncodedItems(items))
+                return
+            kw = {"want_path": want_path, "columns": views.columns is None}
         self._arm_deadline(req)
-        service, writer = gen.service, gen.writer
         if service.mode == "local":
             # Local mode: numpy work and encoding on the blocking thread.
-            def answer():
-                return EncodedItems(
-                    writer(service.query_many(pairs, faults, **kw))
-                )
+            if views is not None:
+                answer = partial(service.answer_view, pairs, faults, kw)
+            else:
+
+                def answer():
+                    return EncodedItems(writer(service.query_many(pairs, faults)))
 
             self._on_thread(req, reply_type, answer)
             return
@@ -594,6 +633,13 @@ class LabelServer:
         req.work = service.submit(
             pairs, faults, kw, writer, partial(self._answered, req, reply_type)
         )
+
+    def _keep_view(self, req: "_Request", payload) -> EncodedItems:
+        """The items of a sketch miss's ``(items, meta)`` answer, after
+        its generation keeps the view (and the columns) it carries."""
+        items, meta = payload
+        req.gen.views.put(req.key, meta["view"], meta.get("columns"))
+        return EncodedItems(items)
 
     def _answered(
         self, req: "_Request", reply_type: FrameType, ok: bool, payload
@@ -603,8 +649,8 @@ class LabelServer:
 
         The trace gets a ``coalesce`` span (submit to post), a ``shard``
         span (post to reply) and, on success, a ``partition`` span: the
-        worker-reported decode time, placed at the tail of ``shard``
-        (queue wait first, then the build).
+        worker-reported answer time, placed at the tail of ``shard``
+        (queue wait first, then the answer).
         """
         now = time.perf_counter()
         handle = req.work
@@ -615,13 +661,16 @@ class LabelServer:
         if not ok:
             self._fail(req, payload)
             return
-        items, meta = payload
-        worker_s = meta["worker_s"]
+        worker_s = payload[1]["worker_s"]
         trace.add_span(
             "partition", posted + max(0.0, now - posted - worker_s), worker_s
         )
         trace.meta["shards"] = [handle.shard]
-        self._finish(req, reply_type, EncodedItems(items))
+        if req.key is None:
+            items = EncodedItems(payload[0])
+        else:
+            items = self._keep_view(req, payload)
+        self._finish(req, reply_type, items)
 
     def _route(self, req: "_Request") -> None:
         gen, payload = req.gen, req.frame.payload
@@ -670,6 +719,8 @@ class LabelServer:
         started, payload = future.result()
         req.trace.add_span("coalesce", req.t_submit, started - req.t_submit)
         req.trace.add_span("shard", started, time.perf_counter() - started)
+        if req.key is not None:
+            payload = self._keep_view(req, payload)
         self._finish(req, reply_type, payload)
 
     def _run_task(self, req: "_Request", reply_type: FrameType, fn, *args):
@@ -775,6 +826,8 @@ class LabelServer:
             self._finish(req, FrameType.ERROR, (int(code), message))
 
     async def _stats_payload(self, gen: _Generation) -> str:
+        views = 0 if gen.views is None else len(gen.views)
+        self.obs.gauge("server.view_entries").set(views)
         front = self.obs.to_wire()
         payload = {
             "version": gen.version,
@@ -793,9 +846,13 @@ class LabelServer:
         if gen.service is not None:
             # One round trip to every shard worker through the loop's
             # own pipes, each message under the chunk timeout.
-            service_stats, service_wire = await gen.service.astats_bundle()
-            payload["service"] = service_stats.snapshot()
+            _, service_wire = await gen.service.astats_bundle()
             merged.merge_wire(service_wire)
+            # read off the merged dump, the service's cache counts take
+            # in the front door's view hits
+            payload["service"] = ServiceStats.from_dump(
+                merged.to_wire(), gen.service.mode, gen.service.num_shards
+            ).snapshot()
         payload["metrics"] = merged.snapshot()
         payload["slow_queries"] = self.slow_log.snapshot()
         return json.dumps(payload, sort_keys=True)
@@ -851,7 +908,8 @@ class _Request:
     ``done``."""
 
     __slots__ = (
-        "conn", "frame", "trace", "gen", "timer", "work", "t_submit", "done"
+        "conn", "frame", "trace", "gen", "timer", "work", "t_submit", "done",
+        "key",
     )
 
     def __init__(self, conn: "_Connection", frame: Frame, trace: Trace, gen):
@@ -863,6 +921,8 @@ class _Request:
         self.work = None
         self.t_submit = 0.0
         self.done = False
+        #: a sketch miss's canonical fault key (its view is kept under it)
+        self.key = None
 
 
 class _Connection(asyncio.Protocol):

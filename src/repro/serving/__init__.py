@@ -15,7 +15,10 @@ Production query serving on top of the immutable packed label stores
   request order (``num_shards=0`` runs it in process); its ``submit``
   takes one request at a time from the network server's event loop and
   group-commits them per home shard: a request goes at once to an idle
-  shard, and requests that arrive while it works go as one batch.
+  shard, and requests that arrive while it works go as one batch;
+* :mod:`repro.serving.views` — numpy-free partition views and the one
+  writer of sketch reply items, so the network server answers a fault
+  set it has seen on its event loop.
 """
 
 from repro.serving.partition_cache import (

@@ -15,7 +15,8 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   worker opens a :mod:`repro.store` snapshot read-only (mmap: every
   worker on the host shares one page-cache copy) — the caller's file,
   or, for a live scheme, a private temporary snapshot the service
-  saves once and :meth:`~ShardedQueryService.close` deletes.  No
+  saves once and :meth:`~ShardedQueryService.close` deletes (a later
+  service reclaims one whose process was killed first).  No
   worker is a fork of the caller, whose other threads may hold locks
   or block in reads;
 * talks to each worker over **its own duplex pipe** and nothing else:
@@ -26,8 +27,10 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   (``loop.add_reader``) and :meth:`submit` answers each request through
   its reply callback, with the answers already encoded as reply items
   when the caller passes an answer writer of
-  :mod:`repro.server.protocol`.  A worker that dies shows up as EOF on
-  its pipe: the batch in flight on that shard fails with
+  :mod:`repro.server.protocol`, and with the partition's view when it
+  passes the sketch view writer of :mod:`repro.serving.views`.  A
+  worker that dies shows up as EOF on its pipe: the batch in flight on
+  that shard fails with
   :class:`ShardLostError` at once and the worker is respawned; one that
   hangs past ``chunk_timeout`` is killed and replaced the same way;
 * **group-commits** submitted requests per home shard: a request goes
@@ -55,6 +58,7 @@ snapshot answers bit for bit like the object saved; asserted by
 from __future__ import annotations
 
 import asyncio
+import glob
 import multiprocessing
 import os
 import pickle
@@ -64,6 +68,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -80,6 +85,7 @@ from repro.serving.partition_cache import (
     canonical_fault_key,
     group_by_canonical_key,
 )
+from repro.serving.views import answer_by_view, write_items
 
 #: Timeout (s) for any single chunk result; a worker that takes longer
 #: is considered lost and the error propagates to the caller.
@@ -104,6 +110,7 @@ _FACTORY_PRELOAD = (
     "repro.store",
     "repro.core.sketch_scheme",
     "repro.server.protocol",
+    "repro.serving.views",
 )
 
 #: The directory that holds the ``repro`` package.
@@ -164,22 +171,34 @@ def _serve_batch(cache: PartitionCache, entries) -> list:
     (an answer writer of :mod:`repro.server.protocol`) the answers go
     back as the encoded reply items it makes, so the parent only splices
     bytes; without one they are the native answers, bit-identical to a
-    direct ``query_many``.  ``meta`` carries the pid and ``worker_s``,
-    the partition answer's time with encoding excluded (a request
-    trace's ``partition`` span).
+    direct ``query_many``.  The sketch view writer
+    (:func:`repro.serving.views.write_items`) answers off the partition's
+    view instead, and ``meta`` carries that view pickled (``"view"``)
+    and, when ``kw`` asks for them, the columns it is read against
+    (``"columns"``), for the front door to answer the fault set's next
+    requests itself.  ``meta`` also carries the pid and ``worker_s``,
+    the time to answer (a request trace's ``partition`` span): the
+    decode or cache lookup, and for a view answer its writing too.
     """
     replies = []
     for pairs, faults, kw, writer in entries:
         try:
             t0 = time.perf_counter()
-            answers = cache.query_many(pairs, faults, **kw)
-            worker_s = time.perf_counter() - t0
-            if writer is not None:
-                answers = writer(answers)
+            meta = {"pid": os.getpid()}
+            if writer is write_items:
+                answers, view, columns = answer_by_view(cache, pairs, faults, **kw)
+                meta["worker_s"] = time.perf_counter() - t0
+                meta["view"] = pickle.dumps(view, pickle.HIGHEST_PROTOCOL)
+                if columns is not None:
+                    meta["columns"] = pickle.dumps(columns, pickle.HIGHEST_PROTOCOL)
+            else:
+                answers = cache.query_many(pairs, faults, **kw)
+                meta["worker_s"] = time.perf_counter() - t0
+                if writer is not None:
+                    answers = writer(answers)
         except Exception as exc:
             replies.append((False, exc))
         else:
-            meta = {"worker_s": worker_s, "pid": os.getpid()}
             replies.append((True, (answers, meta)))
     return replies
 
@@ -198,6 +217,35 @@ def shard_of(key: FaultKey, num_shards: int) -> int:
     deterministic (integer hashing is not salted by ``PYTHONHASHSEED``).
     """
     return hash(key) % num_shards
+
+
+#: Name prefix of a private snapshot directory; the owner's pid follows.
+_PRIVATE_PREFIX = "repro-shards-"
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's live process
+        return True
+    return True
+
+
+def _reclaim_private_snapshots(tmpdir: str) -> None:
+    """Delete the ``repro-shards-<pid>-*`` directories in ``tmpdir``
+    that this user owns and whose process no longer exists: what a
+    service killed before :meth:`ShardedQueryService.close` left."""
+    uid = os.getuid()
+    for path in glob.glob(os.path.join(glob.escape(tmpdir), _PRIVATE_PREFIX + "*-*")):
+        pid = os.path.basename(path)[len(_PRIVATE_PREFIX):].split("-", 1)[0]
+        try:
+            owned = os.lstat(path).st_uid == uid and os.path.isdir(path)
+        except OSError:
+            continue
+        if owned and pid.isdigit() and not _pid_alive(int(pid)):
+            shutil.rmtree(path, ignore_errors=True)
 
 
 #: what a worker does with each message ``(op, args)`` it reads.
@@ -471,9 +519,11 @@ class ShardedQueryService:
         scheme (``scheme`` may then be ``None``: the parent loads the
         file only to serve it in process; see :meth:`from_snapshot`).
         Without one, the service saves ``scheme`` once, here, to a
-        private temporary snapshot (in a ``repro-shards-*`` directory of
-        :func:`tempfile.gettempdir` that only this user can read), which
-        :meth:`close` deletes.  An object
+        private temporary snapshot (in a ``repro-shards-<pid>-*``
+        directory of :func:`tempfile.gettempdir` that only this user can
+        read), which :meth:`close` deletes, or interpreter exit if
+        nothing closed the service.  Before it saves, it deletes the
+        directories there that this user's dead processes left.  An object
         :func:`~repro.store.save_snapshot` cannot persist raises its
         :class:`~repro.store.SnapshotError` (and leaves no file);
         ``num_shards=0`` still serves it."""
@@ -511,8 +561,9 @@ class ShardedQueryService:
         self._waiting = [deque() for _ in range(self.num_shards)]
         self._workers: Optional[list[_Worker]] = None
         self._local: Optional[PartitionCache] = None
-        #: the directory of the private snapshot (deleted by close)
-        self._private: Optional[str] = None
+        #: deletes the private snapshot's directory: at close, or at
+        #: interpreter exit for a service never closed
+        self._private: Optional[weakref.finalize] = None
         #: the asyncio loop that owns the pipes (see :meth:`bind_loop`)
         self._loop = None
         #: replaced workers' processes, SIGKILLed and not yet reaped
@@ -535,8 +586,15 @@ class ShardedQueryService:
 
                 from repro.store import save_snapshot
 
-                self._private = tempfile.mkdtemp(prefix="repro-shards-")
-                path = os.path.join(self._private, "scheme.snap")
+                tmpdir = tempfile.gettempdir()
+                _reclaim_private_snapshots(tmpdir)
+                private = tempfile.mkdtemp(
+                    prefix=f"{_PRIVATE_PREFIX}{os.getpid()}-", dir=tmpdir
+                )
+                self._private = weakref.finalize(
+                    self, shutil.rmtree, private, ignore_errors=True
+                )
+                path = os.path.join(private, "scheme.snap")
                 self.snapshot = str(save_snapshot(path, scheme))
             else:
                 # Fail fast on a missing or corrupt file *here*, with
@@ -928,6 +986,28 @@ class ShardedQueryService:
             self._commit(shard)
         return req
 
+    def count_view_answer(self, size: int) -> None:
+        """Count a request of ``size`` pairs that the caller answered for
+        this service off a cached partition view (the network server's
+        front-door hits): one chunk of ``service.queries``, on no shard."""
+        self._queries.inc(size)
+        self._chunks.inc()
+
+    def answer_view(self, pairs, faults, kw: dict) -> tuple[list[bytes], dict]:
+        """Local mode's sketch answer: ``(items, meta)`` like a worker's
+        view reply (:func:`_serve_batch`), with the view and the columns
+        as objects, counted as one chunk."""
+        if self._local is None:
+            raise RuntimeError("answer_view serves local mode only")
+        pairs = list(pairs)
+        key = canonical_fault_key(faults)
+        self._count_chunk(self._shard_for(key, len(pairs)), len(pairs))
+        items, view, columns = answer_by_view(self._local, pairs, key, **kw)
+        meta = {"view": view}
+        if columns is not None:
+            meta["columns"] = columns
+        return items, meta
+
     def _commit(self, shard: int) -> None:
         """Post the shard's waiting requests, in arrival order and up to
         ``max_chunk`` pairs (at least one request: none is split), as one
@@ -1091,8 +1171,7 @@ class ShardedQueryService:
         if self._workers is not None:
             self._stop_workers()
         if self._private is not None:
-            shutil.rmtree(self._private, ignore_errors=True)
-            self._private = None
+            self._private()
 
     def _stop_workers(self) -> None:
         """SIGTERM, then SIGKILL, every worker; fail what it had."""

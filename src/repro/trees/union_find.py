@@ -44,3 +44,7 @@ class UnionFind:
 
     def same(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
+
+    def roots(self) -> tuple[int, ...]:
+        """Every element's set representative, in element order."""
+        return tuple(self.find(x) for x in range(len(self._parent)))

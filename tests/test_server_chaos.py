@@ -83,6 +83,11 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
     pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(48)]
     expected0 = scheme.query_many(pairs, F0)
     expected1 = scheme.query_many(pairs, F1)
+    # Once answered, a fault set is a front-door hit that never reaches
+    # a worker: the shard-0 streams move to a fresh set on shard 0 when
+    # its worker is frozen, so their requests are in flight on it.
+    F0_fresh = _fault_set_on_shard(graph, 0, 2, rnd)
+    expected0_fresh = scheme.query_many(pairs, F0_fresh)
 
     with ServerThread(
         snapshot=snap,
@@ -107,12 +112,15 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
             ok_after_error = {"shard0": 0}
             stop = asyncio.Event()
 
-            async def stream(name, F, expected):
+            asked = {"shard0": (F0, expected0), "shard1": (F1, expected1)}
+
+            async def stream(name):
                 client = await AsyncQueryClient.connect(
                     "127.0.0.1", harness.port
                 )
                 try:
                     while not stop.is_set():
+                        F, expected = asked[name]
                         try:
                             ans = await client.connectivity(pairs, F)
                         except ServerError as exc:
@@ -130,10 +138,10 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
                     await client.aclose()
 
             tasks = [
-                asyncio.ensure_future(stream("shard0", F0, expected0)),
-                asyncio.ensure_future(stream("shard0", F0, expected0)),
-                asyncio.ensure_future(stream("shard0", F0, expected0)),
-                asyncio.ensure_future(stream("shard1", F1, expected1)),
+                asyncio.ensure_future(stream("shard0")),
+                asyncio.ensure_future(stream("shard0")),
+                asyncio.ensure_future(stream("shard0")),
+                asyncio.ensure_future(stream("shard1")),
             ]
             loop = asyncio.get_running_loop()
             try:
@@ -149,6 +157,7 @@ def test_sigkill_shard_worker_errors_inflight_only_then_recovers(chaos_env):
                 # Replies written before the freeze are read during the
                 # pause; whatever is in flight afterwards never returns.
                 os.kill(victim, signal.SIGSTOP)
+                asked["shard0"] = (F0_fresh, expected0_fresh)
                 await asyncio.sleep(0.2)
                 service = harness.server.generation.service
                 t0 = loop.time()
@@ -211,6 +220,9 @@ def test_idle_worker_kill_heals_without_a_timeout(chaos_env):
     F0 = _fault_set_on_shard(graph, 0, 2, rnd)
     pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(16)]
     expected = scheme.query_many(pairs, F0)
+    # a fault set the front door has no view of: the fresh worker answers
+    F0_fresh = _fault_set_on_shard(graph, 0, 2, rnd)
+    expected_fresh = scheme.query_many(pairs, F0_fresh)
 
     # the snapshot file, then a private snapshot of the live backend
     for source in ({"snapshot": snap}, {"backend": scheme}):
@@ -237,10 +249,10 @@ def test_idle_worker_kill_heals_without_a_timeout(chaos_env):
                 assert len(pids) == 2 and all(_alive(p) for p in pids)
 
                 t0 = time.monotonic()
-                answers = client.connectivity(pairs, F0)
+                answers = client.connectivity(pairs, F0_fresh)
                 elapsed = time.monotonic() - t0
                 stats = client.stats()
-            assert answers == expected
+            assert answers == expected_fresh
             # served by the fresh worker (its start-up included), not
             # rescued by a timeout
             assert elapsed < 0.6 * CHUNK_TIMEOUT_S, f"answer took {elapsed:.2f}s"
@@ -254,6 +266,9 @@ def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
     F0 = _fault_set_on_shard(graph, 0, 2, rnd)
     pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(16)]
     expected = scheme.query_many(pairs, F0)
+    # a fault set the front door has no view of: it waits for the worker
+    F0_fresh = _fault_set_on_shard(graph, 0, 2, rnd)
+    expected_fresh = scheme.query_many(pairs, F0_fresh)
 
     with ServerThread(
         snapshot=snap,
@@ -279,7 +294,7 @@ def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
             try:
                 t0 = time.monotonic()
                 with pytest.raises(ServerError) as excinfo:
-                    client.connectivity(pairs, F0)
+                    client.connectivity(pairs, F0_fresh)
                 elapsed = time.monotonic() - t0
             finally:
                 os.kill(victim, signal.SIGCONT)
@@ -287,7 +302,7 @@ def test_deadline_below_chunk_timeout_answers_deadline_then_recovers(chaos_env):
             assert elapsed < 10, f"DEADLINE took {elapsed:.2f}s"
             # the stopped worker kept its request queue: it answers the
             # abandoned chunk (dropped) and then this one
-            assert client.connectivity(pairs, F0) == expected
+            assert client.connectivity(pairs, F0_fresh) == expected_fresh
             stats = client.stats()
         assert stats["server"]["errors"] == {"DEADLINE": before + 1}
         assert stats["service"]["pool_restarts"] == 0

@@ -120,17 +120,11 @@ class TestLinearity:
 class TestExtraction:
     def test_single_outgoing_edge_recovered(self):
         """Lemma 3.13 in the deterministic case: one outgoing edge."""
-        g, tree, eids, vs, arr, cache = _setup()
-        # A leaf vertex with degree d: use a set = {leaf}; its sketch is
-        # its own edges. Pick a degree-1 vertex if one exists, else make
-        # the set the whole graph minus one vertex's neighborhood...
+        # A degree-1 vertex's sketch holds its one edge: this instance
+        # has two of them (vertices 8 and 16).
+        g, tree, eids, vs, arr, cache = _setup(n=20, extra=10, seed=1)
         leaf = next((v for v in g.vertices() if g.degree(v) == 1), None)
-        if leaf is None:
-            # Fall back: a set with exactly one outgoing edge is the
-            # subtree below any bridge; skip if none.
-            import pytest
-
-            pytest.skip("no degree-1 vertex in this instance")
+        assert leaf is not None, "the instance has no degree-1 vertex"
         sketch = VertexSketches.xor_rows(arr, [leaf])
         found = 0
         for unit in range(vs.dims.units):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -193,6 +194,35 @@ def test_front_door_imports_no_numpy_and_no_decoder():
     assert "repro.core.sketch_scheme" not in modules
 
 
+def test_front_door_answers_a_view_without_numpy_or_the_decoder(scheme):
+    """A view and its columns unpickle, and answer, in a process that
+    imported the front door only."""
+    from repro.server.protocol import write_sk_results
+
+    pairs = _pairs(scheme)
+    part = scheme.decode_partition(sorted(_faults(scheme)[0]))
+    blob = pickle.dumps(
+        (pickle.dumps(part.view()), pickle.dumps(scheme.view_columns()), pairs)
+    )
+    code = (
+        "import json, pickle, sys; import repro.server.server\n"
+        "from repro.serving.views import write_items\n"
+        "view, columns, pairs = pickle.loads(sys.stdin.buffer.read())\n"
+        "items = write_items(pickle.loads(columns), pickle.loads(view), pairs)\n"
+        "print(json.dumps([sorted(sys.modules), [i.hex() for i in items]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=blob, capture_output=True,
+        check=True, env=env,
+    )
+    modules, items = json.loads(out.stdout)
+    assert "numpy" not in modules
+    assert "repro.core.sketch_scheme" not in modules
+    expected = write_sk_results(part.answer_many(pairs, want_path=True))
+    assert [bytes.fromhex(i) for i in items] == expected
+
+
 @pytest.mark.parametrize(
     "package, names",
     [
@@ -298,6 +328,13 @@ def test_no_server_worker_is_a_fork_of_its_caller(scheme, private_dir):
     faults = _faults(scheme)[0]
     home = shard_of(canonical_fault_key(faults), 2)
     expected = scheme.query_many(pairs, faults, want_path=True)
+    # after the kill, a fault set the front door has no view of yet, so
+    # the respawned worker answers it
+    other = next(
+        F for F in _faults(scheme)[1:]
+        if shard_of(canonical_fault_key(F), 2) == home
+    )
+    expected_other = scheme.query_many(pairs, other, want_path=True)
     with ServerThread(
         scheme, num_shards=2, hot_key_share=None, deadline_s=60.0
     ) as harness:
@@ -311,11 +348,60 @@ def test_no_server_worker_is_a_fork_of_its_caller(scheme, private_dir):
             while pids[home] in harness.server.worker_pids():
                 assert time.monotonic() < deadline, "the worker was never replaced"
                 time.sleep(0.01)
-            assert client.connectivity(pairs, faults, want_path=True) == expected
+            assert client.connectivity(pairs, other, want_path=True) == expected_other
             fresh = harness.server.worker_pids()[home]
             with pytest.raises(ServerError, match="no snapshot path"):
                 client.reload()  # the private snapshot is no reload source
         assert _parent_pid(fresh) != os.getpid() and _maps(fresh, private)
+    assert _private_snapshots(private_dir) == []
+
+
+#: A program that starts a live scheme's service, prints its private
+#: snapshot's directory, and waits on stdin (to be killed).
+_PRIVATE_SCRIPT = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from repro.core.sketch_scheme import SketchConnectivityScheme
+from repro.graph import generators
+from repro.serving import ShardedQueryService
+
+graph = generators.random_connected_graph(40, extra_edges=50, seed=3)
+svc = ShardedQueryService(SketchConnectivityScheme(graph, seed=5), num_shards=1)
+print(os.path.dirname(svc.snapshot), flush=True)
+sys.stdin.read()
+"""
+
+
+def test_a_killed_services_private_snapshot_is_reclaimed(scheme, private_dir):
+    """A SIGKILL skips ``close()``: the next service this user starts in
+    the same temporary directory deletes what the dead one left, and
+    leaves a live one's alone."""
+    env = dict(os.environ, TMPDIR=str(private_dir))
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PRIVATE_SCRIPT, SRC],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        left = Path(proc.stdout.readline().strip())
+        assert left.parent == private_dir and (left / "scheme.snap").exists()
+        proc.kill()
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:  # pragma: no cover - wedged
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stdin.close()
+    assert left.exists()  # nothing ran close()
+    with ShardedQueryService(scheme, num_shards=1) as first:
+        assert not left.exists()
+        mine = Path(first.snapshot).parent
+        assert mine.name.startswith(f"repro-shards-{os.getpid()}-")
+        with ShardedQueryService(scheme, num_shards=1) as second:
+            assert mine.exists()  # its owner lives
+            assert len(_private_snapshots(private_dir)) == 2
+            assert second.snapshot != first.snapshot
     assert _private_snapshots(private_dir) == []
 
 
@@ -364,6 +450,12 @@ def test_workers_fork_preloaded_without_pythonpath(scheme, snap, tmp_path):
     pairs = _pairs(scheme)
     faults = _faults(scheme)[0]
     expected = scheme.query_many(pairs, faults, want_path=True)
+    # after the kill, a fault set the front door has no view of, homed
+    # on the killed worker's shard: the respawn answers it
+    other = next(
+        F for F in _faults(scheme)[1:] if shard_of(canonical_fault_key(F), 2) == 0
+    )
+    expected_other = scheme.query_many(pairs, other, want_path=True)
     server = _ServerProcess(snap, tmp_path)
     try:
         with QueryClient("127.0.0.1", server.port, timeout=60) as client:
@@ -375,7 +467,7 @@ def test_workers_fork_preloaded_without_pythonpath(scheme, snap, tmp_path):
             while not _descendants(server.proc.pid) - before:
                 assert time.monotonic() < deadline, "the worker was never replaced"
                 time.sleep(0.01)
-            assert client.connectivity(pairs, faults, want_path=True) == expected
+            assert client.connectivity(pairs, other, want_path=True) == expected_other
             counters = client.stats().counters
     finally:
         server.stop()
